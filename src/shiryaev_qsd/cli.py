@@ -16,22 +16,11 @@ import sys
 
 import numpy as np
 
-from . import distribution, eigen, laplace, moments, simulate, specfun
+from . import distribution, eigen, laplace, moments, specfun
 from .errors import QsdError
+from .simulate import SimConfig, compare_to_analytic, simulate
 
 DEFAULT_PRECISION = 12
-
-
-def worker_threads() -> int:
-    """Thread cap from QSD_THREADS (default: machine parallelism).
-
-    Current computations are sequential; the cap is honored by any
-    future parallel sweep.
-    """
-    raw = os.environ.get("QSD_THREADS")
-    if raw:
-        return max(1, int(raw))
-    return os.cpu_count() or 1
 
 
 def fmt(x, precision: int) -> str:
@@ -111,7 +100,7 @@ def _params(A, tol=eigen.DEFAULT_TOL):
     return distribution.make_params(eigen.principal_lambda(A, tol))
 
 
-def _eigen_record(sol, precision):
+def _eigen_record(sol):
     return {
         "A": sol.A,
         "lambda": sol.lam,
@@ -135,7 +124,7 @@ def cmd_eigen(args, out: Output):
                        "xi_kind", "xi"], rows)
     else:
         sol = eigen.principal_lambda(args.A, args.tol)
-        out.emit_record(_eigen_record(sol, out.precision))
+        out.emit_record(_eigen_record(sol))
     return 0
 
 
@@ -199,13 +188,15 @@ def cmd_laplace(args, out: Output):
     rows = []
     for s in svals:
         s = float(s)
-        vals, used = [], []
+        vals, refusals = [], []
         for m in methods:
             try:
                 vals.append(laplace.evaluate(p, s, m).value)
-                used.append(m)
-            except QsdError:
+            except QsdError as exc:
                 vals.append(math.nan)
+                refusals.append(exc)
+        if len(refusals) == len(methods):
+            raise refusals[0]
         ok = [v for v in vals if not math.isnan(v)]
         spread = moments.max_rel_spread(ok) if len(ok) > 1 else 0.0
         resid = laplace.ode_residual(p, s, method="bessel") if s > 0 else 0.0
@@ -215,10 +206,9 @@ def cmd_laplace(args, out: Output):
 
 
 def cmd_simulate(args, out: Output):
-    config = simulate.SimConfig(A=args.A, r0=args.r0, dt=args.dt,
-                                horizon=args.horizon, paths=args.paths,
-                                seed=args.seed)
-    emp = simulate.simulate(config)
+    config = SimConfig(A=args.A, r0=args.r0, dt=args.dt,
+                       horizon=args.horizon, paths=args.paths, seed=args.seed)
+    emp = simulate(config)
     out.emit_record({
         "A": emp.A,
         "paths": config.paths,
@@ -241,11 +231,10 @@ def cmd_simulate(args, out: Output):
 
 def cmd_verify(args, out: Output):
     p = _params(args.A)
-    config = simulate.SimConfig(A=args.A, r0=args.r0, dt=args.dt,
-                                horizon=args.horizon, paths=args.paths,
-                                seed=args.seed)
-    emp = simulate.simulate(config)
-    report = simulate.compare_to_analytic(emp, p)
+    config = SimConfig(A=args.A, r0=args.r0, dt=args.dt,
+                       horizon=args.horizon, paths=args.paths, seed=args.seed)
+    emp = simulate(config)
+    report = compare_to_analytic(emp, p)
     ok = report.passed()
     out.emit_record({
         "A": args.A,

@@ -48,6 +48,8 @@ def lambda_bounds(A: float) -> tuple[float, float]:
     """Strict lower/upper bounds for lambda_A from moment positivity."""
     if not A > 0:
         raise DomainError(f"A must be > 0, got {A}")
+    if not math.isfinite(A):
+        raise DomainError(f"A must be finite, got {A}")
     lo = 1.0 / A + 1.0 / (A + A * A)
     hi = 1.0 / A + (1.0 + math.sqrt(4.0 * A + 1.0)) / (2.0 * A * A)
     return lo, hi

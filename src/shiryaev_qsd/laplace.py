@@ -49,7 +49,7 @@ class LaplaceEval:
 
 
 def _check_s(s):
-    if s < 0:
+    if not s >= 0:
         raise DomainError(f"s must be >= 0, got {s}")
 
 
@@ -178,7 +178,11 @@ def evaluate(p: QsdParams, s: float, method: str,
 def ode_residual(p: QsdParams, s: float, h: float | None = None,
                  method: str = "bessel") -> float:
     """(s^2/2) L'' - (s - lambda) L - lambda e^{-sA} with L'' from
-    central differences (one Richardson level) of the chosen route."""
+    central differences (one Richardson level) of the chosen route.
+
+    The route is evaluated once at each of the five points s, s +- h/2
+    and s +- h; L(s) serves both second differences and the residual.
+    """
     if s <= 0:
         raise DomainError(f"ODE residual needs s > 0, got {s}")
     if h is None:
@@ -187,9 +191,11 @@ def ode_residual(p: QsdParams, s: float, h: float | None = None,
     def L(x):
         return evaluate(p, x, method).value
 
+    L_s = L(s)
+
     def second(hh):
-        return (L(s - hh) - 2.0 * L(s) + L(s + hh)) / (hh * hh)
+        return (L(s - hh) - 2.0 * L_s + L(s + hh)) / (hh * hh)
 
     d2 = (4.0 * second(h / 2.0) - second(h)) / 3.0
     lam, A = p.eigen.lam, p.eigen.A
-    return (s * s / 2.0) * d2 - (s - lam) * L(s) - lam * math.exp(-s * A)
+    return (s * s / 2.0) * d2 - (s - lam) * L_s - lam * math.exp(-s * A)

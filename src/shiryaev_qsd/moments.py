@@ -12,6 +12,7 @@ are even in xi by construction.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -82,11 +83,18 @@ def moment_powerseries(p: QsdParams, n: int) -> float:
 
 
 def moments_quadrature(p: QsdParams, n_max: int, tol: float = 1e-9) -> MomentSeries:
-    """Direct integrals int x^n q_A(x) dx as the independent check."""
+    """Direct integrals int x^n q_A(x) dx as the independent check.
+
+    The n_max + 1 adaptive integrals over [0, A] share most of their
+    nodes, so q_A is memoised for the duration of the call, keyed by the
+    exact node: each distinct node costs one closed-form evaluation, and
+    every value is bitwise the one integrating qsd_pdf directly gives.
+    """
     A = p.eigen.A
+    pdf = functools.cache(lambda x: qsd_pdf(p, x))
     vals = []
     for n in range(n_max + 1):
-        res = numerics.integrate(lambda x: x**n * qsd_pdf(p, x), 0.0, A, tol=tol)
+        res = numerics.integrate(lambda x: x**n * pdf(x), 0.0, A, tol=tol)
         vals.append(res.value)
     return MomentSeries(p, n_max, tuple(vals), "quadrature")
 

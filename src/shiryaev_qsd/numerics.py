@@ -55,8 +55,7 @@ def find_root(f, bracket: Bracket, tol: float = 1e-12) -> float:
     fallback, so convergence is guaranteed and the result never leaves
     the initial bracket.
     """
-    root = brentq(f, bracket.lo, bracket.hi, xtol=tol, rtol=8 * math.ulp(1.0))
-    return min(max(root, bracket.lo), bracket.hi)
+    return brentq(f, bracket.lo, bracket.hi, xtol=tol, rtol=8 * math.ulp(1.0))
 
 
 def integrate(f, a, b, tol: float = DEFAULT_QUAD_TOL, limit: int = 200) -> QuadResult:

@@ -51,6 +51,13 @@ class TestExitCodes:
         payload = json.loads(err)
         assert payload["error"] == "QsdError"
 
+    def test_infinite_level_is_named(self, capsys):
+        code, _, err = run_cli(capsys, "eigen", "--A", "inf")
+        assert code == 1
+        payload = json.loads(err)
+        assert payload["error"] == "DomainError"
+        assert payload["message"] == "A must be finite, got inf"
+
     def test_negative_level_is_a_clean_failure(self, capsys):
         code, out, err = run_cli(capsys, "eigen", "--A", "-3")
         assert code == 1
@@ -136,10 +143,45 @@ class TestMomentsAndLaplaceCommands:
         gaps = [float(r["abs_gap"]) for r in rows]
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
 
+    @pytest.mark.parametrize("s", ["-1", "nan"])
+    def test_bad_s_is_a_clean_failure(self, capsys, s):
+        code, out, err = run_cli(capsys, "laplace", "--A", "2", "--s", s)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "DomainError"
+
     def test_limit_check_needs_scalar_s(self, capsys):
         code, _, err = run_cli(capsys, "laplace", "--s", "0.1:5:3", "--limit-check")
         assert code == 1
         assert json.loads(err)["error"] == "QsdError"
+
+
+SMALL_RUN = ("--A", "2", "--paths", "2000", "--dt", "1e-3", "--horizon", "3")
+
+
+class TestSimulateAndVerify:
+    def test_simulate_prints_its_record(self, capsys, tmp_path):
+        hist = tmp_path / "hist.csv"
+        code, out, _ = run_cli(capsys, "simulate", *SMALL_RUN,
+                               "--histogram-out", str(hist))
+        assert code == 0
+        rec = json.loads(out)
+        assert rec["paths"] == 2000 and rec["horizon"] == 3.0
+        assert rec["lambda_hat"] > 0 and rec["pooled_samples"] > 0
+        rows = list(csv.DictReader(io.StringIO(hist.read_text())))
+        assert rows and all(float(r["density"]) >= 0 for r in rows)
+
+    # dt 1e-3 misses barrier crossings between steps and fails the 5% gate
+    # on lambda; dt 1e-4 passes it
+    @pytest.mark.parametrize("extra, passed", [
+        ((), False),
+        (("--paths", "5000", "--dt", "1e-4"), True),
+    ])
+    def test_verify_exit_code_follows_pass(self, capsys, extra, passed):
+        code, out, _ = run_cli(capsys, "verify", *SMALL_RUN, *extra)
+        rec = json.loads(out)
+        assert rec["pass"] is passed
+        assert code == (0 if passed else 1)
 
 
 class TestReproduce:

@@ -61,6 +61,13 @@ class TestLambdaBounds:
         with pytest.raises(DomainError):
             lambda_bounds(0.0)
 
+    def test_nonfinite_level_rejected_by_name(self):
+        for A in (math.inf, -math.inf, math.nan):
+            with pytest.raises(DomainError, match="A must be"):
+                lambda_bounds(A)
+        with pytest.raises(DomainError, match="A must be finite, got inf"):
+            principal_lambda(math.inf)
+
 
 class TestPrincipalLambda:
     def test_critical_level_gives_one_eighth(self):

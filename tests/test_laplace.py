@@ -2,9 +2,11 @@
 small-s behavior, the governing ODE, and the stationary limit."""
 
 import math
+from collections import Counter
 
 import pytest
 
+from shiryaev_qsd import laplace
 from shiryaev_qsd.errors import DomainError, NonConvergenceError
 from shiryaev_qsd.laplace import (
     METHODS,
@@ -44,8 +46,9 @@ class TestBasicProperties:
     def test_negative_s_rejected(self, params_for):
         p = params_for(5.0)
         for m in METHODS:
-            with pytest.raises(DomainError):
-                evaluate(p, -1.0, m)
+            for s in (-1.0, math.nan):
+                with pytest.raises(DomainError):
+                    evaluate(p, s, m)
 
     def test_unknown_method_rejected(self, params_for):
         with pytest.raises(ValueError):
@@ -169,3 +172,31 @@ class TestOdeResidual:
     def test_nonpositive_s_rejected(self, params_for):
         with pytest.raises(DomainError):
             ode_residual(params_for(5.0), 0.0)
+
+    def test_five_route_calls_and_seven_call_value(self, params_for, monkeypatch):
+        # the residual as first written, with L(s) evaluated three times
+        p = params_for(5.0)
+        s = 1.0
+        h = 1e-4
+
+        def L(x):
+            return laplace_bessel(p, x).value
+
+        def second(hh):
+            return (L(s - hh) - 2.0 * L(s) + L(s + hh)) / (hh * hh)
+
+        d2 = (4.0 * second(h / 2.0) - second(h)) / 3.0
+        lam, A = p.eigen.lam, p.eigen.A
+        want = (s * s / 2.0) * d2 - (s - lam) * L(s) - lam * math.exp(-s * A)
+
+        calls = Counter()
+
+        def counted(p_, x, method, *args):
+            calls[x] += 1
+            return evaluate(p_, x, method, *args)
+
+        monkeypatch.setattr(laplace, "evaluate", counted)
+        got = ode_residual(p, s, method="bessel")
+        assert got.hex() == want.hex()
+        assert sorted(calls) == [s - h, s - h / 2.0, s, s + h / 2.0, s + h]
+        assert set(calls.values()) == {1}

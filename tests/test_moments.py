@@ -2,9 +2,12 @@
 power-series form, and direct quadrature."""
 
 import math
+from collections import Counter
 
 import pytest
 
+from shiryaev_qsd import moments
+from shiryaev_qsd.distribution import qsd_pdf
 from shiryaev_qsd.moments import (
     MomentSeries,
     max_rel_spread,
@@ -16,6 +19,7 @@ from shiryaev_qsd.moments import (
     moments_recurrence,
     variance,
 )
+from shiryaev_qsd.numerics import integrate
 
 
 class TestRecurrence:
@@ -79,6 +83,29 @@ class TestQuadratureRoute:
         rec = moments_recurrence(p, 5).values
         for n in range(6):
             assert quad_vals[n] == pytest.approx(rec[n], rel=1e-8)
+
+    @pytest.mark.parametrize("A", [5.0, 20.0])  # imaginary, real xi
+    def test_bitwise_equal_to_direct_integrals(self, params_for, A):
+        p = params_for(A)
+        want = [integrate(lambda x: x**n * qsd_pdf(p, x), 0.0, A, tol=1e-9).value
+                for n in range(11)]
+        got = moments_quadrature(p, 10).values
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    def test_each_node_evaluated_once_per_call(self, params_for, monkeypatch):
+        p = params_for(3.0)
+        calls = Counter()
+
+        def counted(p_, x):
+            calls[x] += 1
+            return qsd_pdf(p_, x)
+
+        monkeypatch.setattr(moments, "qsd_pdf", counted)
+        moments_quadrature(p, 10)
+        assert set(calls.values()) == {1}
+        # the memo lives only for one call: a second call pays again
+        moments_quadrature(p, 10)
+        assert set(calls.values()) == {2}
 
 
 class TestDispatcher:
