@@ -38,7 +38,7 @@ from .moments import (
     moments_recurrence,
     variance,
 )
-from .simulate import EmpiricalQsd, SimConfig, compare_to_analytic, simulate
+from .simulate import EmpiricalQsd, SimConfig, compare_to_analytic
 from .specfun import OrderParam, SeriesControl
 
 __version__ = "0.1.0"
@@ -50,7 +50,7 @@ __all__ = [
     "laplace_kdf1", "laplace_kdf2", "laplace_moment_series",
     "laplace_quadrature", "make_params", "moment_2f2", "moment_powerseries",
     "moment_series", "moments_quadrature", "moments_recurrence",
-    "ode_residual", "principal_lambda", "qsd_cdf", "qsd_pdf", "simulate",
+    "ode_residual", "principal_lambda", "qsd_cdf", "qsd_pdf",
     "stationary_cdf", "stationary_laplace", "stationary_pdf", "variance",
     "xi_of_lambda",
 ]

@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from . import distribution, eigen, laplace, moments, specfun
+from . import distribution, eigen, laplace, moments
 from .errors import QsdError
 from .simulate import SimConfig, compare_to_analytic, simulate
 
@@ -38,20 +38,38 @@ def fmt(x, precision: int) -> str:
     return s
 
 
+def csv_text(header, rows, precision: int) -> str:
+    """Header line plus one line per row; floats go through fmt."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(fmt(v, precision) if isinstance(v, float) else str(v)
+                              for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def write_text(path, text):
+    """Write text to path with LF line endings; a failure is a QsdError."""
+    try:
+        with open(path, "w", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise QsdError(f"cannot write {path!r}: {exc.strerror}") from exc
+    return path
+
+
 class Output:
     """Row sink honoring --format, --output and --precision."""
 
     def __init__(self, args):
-        self.format = args.format
-        self.path = args.output
+        self.format = getattr(args, "format", "csv")
+        self.path = getattr(args, "output", None)
         self.precision = args.precision
         if not 1 <= self.precision <= 17:
             raise QsdError(f"precision must be in [1, 17], got {self.precision}")
 
     def _write(self, text):
         if self.path:
-            with open(self.path, "w", newline="\n") as fh:
-                fh.write(text)
+            write_text(self.path, text)
         else:
             sys.stdout.write(text)
 
@@ -61,10 +79,7 @@ class Output:
                        for row in rows]
             self._write(json.dumps(payload, indent=2) + "\n")
         else:
-            lines = [",".join(header)]
-            for row in rows:
-                lines.append(",".join(self._cell(v) for v in row))
-            self._write("\n".join(lines) + "\n")
+            self._write(csv_text(header, rows, self.precision))
 
     def emit_record(self, record: dict):
         if self.format == "csv":
@@ -72,11 +87,6 @@ class Output:
         else:
             self._write(json.dumps(
                 {k: self._jsonify(v) for k, v in record.items()}, indent=2) + "\n")
-
-    def _cell(self, v):
-        if isinstance(v, float):
-            return fmt(v, self.precision)
-        return str(v)
 
     def _jsonify(self, v):
         if isinstance(v, float):
@@ -96,24 +106,45 @@ def parse_grid(spec: str):
     return np.linspace(lo, hi, n)
 
 
-def _params(A, tol=eigen.DEFAULT_TOL):
-    return distribution.make_params(eigen.principal_lambda(A, tol))
+def parse_s(spec: str):
+    """A single s, or a 'lo:hi:n' grid of them."""
+    if ":" in spec:
+        return parse_grid(spec)
+    try:
+        return [float(spec)]
+    except ValueError as exc:
+        raise QsdError(f"bad s {spec!r}, expected a number or lo:hi:n") from exc
 
 
-def _eigen_record(sol):
-    return {
-        "A": sol.A,
-        "lambda": sol.lam,
-        "xi_kind": sol.xi.kind,
-        "xi": sol.xi.magnitude,
-        "residual": sol.residual,
-    }
+def _params(A):
+    return distribution.make_params(eigen.principal_lambda(A))
+
+
+def laplace_row(p, s, methods):
+    """The named routes' values at s, their max relative spread and the
+    bessel route's ODE residual.  A refusing route gives NaN; when every
+    route refuses, the first refusal is raised."""
+    vals, refusals = [], []
+    for m in methods:
+        try:
+            vals.append(laplace.evaluate(p, s, m).value)
+        except QsdError as exc:
+            vals.append(math.nan)
+            refusals.append(exc)
+    if len(refusals) == len(methods):
+        raise refusals[0]
+    ok = [v for v in vals if not math.isnan(v)]
+    spread = moments.max_rel_spread(ok) if len(ok) > 1 else 0.0
+    resid = laplace.ode_residual(p, s, method="bessel") if s > 0 else 0.0
+    return vals + [spread, resid]
 
 
 def cmd_eigen(args, out: Output):
-    if args.grid:
+    if args.grid is not None:
         grid = parse_grid(args.grid)
         if args.log:
+            if not grid[0] > 0:
+                raise QsdError(f"a log grid needs lo > 0, got {args.grid!r}")
             grid = np.geomspace(grid[0], grid[-1], grid.size)
         rows = []
         for A in grid:
@@ -124,7 +155,8 @@ def cmd_eigen(args, out: Output):
                        "xi_kind", "xi"], rows)
     else:
         sol = eigen.principal_lambda(args.A, args.tol)
-        out.emit_record(_eigen_record(sol))
+        out.emit_record({"A": sol.A, "lambda": sol.lam, "xi_kind": sol.xi.kind,
+                         "xi": sol.xi.magnitude, "residual": sol.residual})
     return 0
 
 
@@ -151,12 +183,6 @@ def cmd_cdf(args, out: Output):
 
 
 def cmd_moments(args, out: Output):
-    if args.figures:
-        write_fig1(os.path.join(args.figures, "fig1_moments_vs_A.csv"),
-                   out.precision)
-        write_fig2(os.path.join(args.figures, "fig2_moments_vs_n.csv"),
-                   out.precision)
-        return 0
     p = _params(args.A)
     methods = list(moments.METHODS) if args.method == "all" else [args.method]
     series = {m: moments.moment_series(p, args.n_max, m).values for m in methods}
@@ -170,11 +196,11 @@ def cmd_moments(args, out: Output):
 
 
 def cmd_laplace(args, out: Output):
+    svals = parse_s(args.s)
     if args.limit_check:
-        try:
-            s = float(args.s)
-        except ValueError as exc:
-            raise QsdError("--limit-check needs a scalar --s") from exc
+        if ":" in args.s:
+            raise QsdError("--limit-check needs a scalar --s")
+        s = svals[0]
         target = laplace.stationary_laplace(s)
         rows = []
         for A in (20.0, 50.0, 200.0, 500.0):
@@ -183,31 +209,19 @@ def cmd_laplace(args, out: Output):
         out.emit_rows(["A", "s", "bessel", "stationary", "abs_gap"], rows)
         return 0
     p = _params(args.A)
-    svals = parse_grid(args.s) if ":" in args.s else [float(args.s)]
     methods = list(laplace.METHODS) if args.method == "all" else [args.method]
-    rows = []
-    for s in svals:
-        s = float(s)
-        vals, refusals = [], []
-        for m in methods:
-            try:
-                vals.append(laplace.evaluate(p, s, m).value)
-            except QsdError as exc:
-                vals.append(math.nan)
-                refusals.append(exc)
-        if len(refusals) == len(methods):
-            raise refusals[0]
-        ok = [v for v in vals if not math.isnan(v)]
-        spread = moments.max_rel_spread(ok) if len(ok) > 1 else 0.0
-        resid = laplace.ode_residual(p, s, method="bessel") if s > 0 else 0.0
-        rows.append([s] + vals + [spread, resid])
+    rows = [[s] + laplace_row(p, s, methods) for s in map(float, svals)]
     out.emit_rows(["s"] + methods + ["max_rel_spread", "ode_residual"], rows)
     return 0
 
 
+def _sim_config(args):
+    return SimConfig(A=args.A, r0=args.r0, dt=args.dt,
+                     horizon=args.horizon, paths=args.paths, seed=args.seed)
+
+
 def cmd_simulate(args, out: Output):
-    config = SimConfig(A=args.A, r0=args.r0, dt=args.dt,
-                       horizon=args.horizon, paths=args.paths, seed=args.seed)
+    config = _sim_config(args)
     emp = simulate(config)
     out.emit_record({
         "A": emp.A,
@@ -221,19 +235,17 @@ def cmd_simulate(args, out: Output):
     })
     if args.histogram_out:
         centers = 0.5 * (emp.bin_edges[:-1] + emp.bin_edges[1:])
-        _write_csv(args.histogram_out, ["x", "density"],
-                   zip(centers, emp.conditional_density), out.precision)
+        write_text(args.histogram_out, csv_text(
+            ["x", "density"], zip(centers, emp.conditional_density), out.precision))
     if args.survival_out:
-        _write_csv(args.survival_out, ["t", "fraction_alive"],
-                   emp.survival, out.precision)
+        write_text(args.survival_out, csv_text(
+            ["t", "fraction_alive"], emp.survival, out.precision))
     return 0
 
 
 def cmd_verify(args, out: Output):
     p = _params(args.A)
-    config = SimConfig(A=args.A, r0=args.r0, dt=args.dt,
-                       horizon=args.horizon, paths=args.paths, seed=args.seed)
-    emp = simulate(config)
+    emp = simulate(_sim_config(args))
     report = compare_to_analytic(emp, p)
     ok = report.passed()
     out.emit_record({
@@ -247,118 +259,61 @@ def cmd_verify(args, out: Output):
     return 0 if ok else 1
 
 
-def _write_csv(path, header, rows, precision):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt(v, precision) if isinstance(v, (float, np.floating))
-                              else str(v) for v in row))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 FIG1_N = (1, 2, 3, 4, 5, 10)
 FIG1_A = np.concatenate([[0.05, 0.1, 0.25, 0.5], np.linspace(1.0, 50.0, 50)])
 FIG2_A = (1.0, 3.0, 5.0, 10.0, 30.0, 50.0)
 
 
-def write_fig1(path, precision=DEFAULT_PRECISION):
+def fig1_table():
     """Moments vs A for fixed n (A grid starts at 0.05: the formulas
     are singular at A = 0)."""
     rows = []
     for A in FIG1_A:
         series = moments.moments_recurrence(_params(float(A)), max(FIG1_N))
         rows.append([float(A)] + [series.values[n] for n in FIG1_N])
-    _write_csv(path, ["A"] + [f"M{n}" for n in FIG1_N], rows, precision)
-    return path
+    return ["A"] + [f"M{n}" for n in FIG1_N], rows
 
 
-def write_fig2(path, precision=DEFAULT_PRECISION):
+def fig2_table():
     """Moments vs n for fixed A."""
     table = {A: moments.moments_recurrence(_params(A), 10).values for A in FIG2_A}
     rows = [[n] + [table[A][n] for A in FIG2_A] for n in range(1, 11)]
-    _write_csv(path, ["n"] + [f"A{A:g}" for A in FIG2_A], rows, precision)
-    return path
+    return ["n"] + [f"A{A:g}" for A in FIG2_A], rows
 
 
-def write_bounds(path, precision=DEFAULT_PRECISION):
+def bounds_table():
     rows = []
     for A in np.geomspace(0.5, 200.0, 25):
         sol = eigen.principal_lambda(float(A))
         lo, hi = eigen.lambda_bounds(float(A))
         rows.append([float(A), lo, sol.lam, hi])
-    _write_csv(path, ["A", "lower_bound", "lambda", "upper_bound"], rows, precision)
-    return path
+    return ["A", "lower_bound", "lambda", "upper_bound"], rows
 
 
-def write_laplace_table(path, precision=DEFAULT_PRECISION):
+def laplace_table():
     rows = []
     for A in (1.0, 5.0, 20.0):
         p = _params(A)
         for s in (0.1, 1.0, 5.0):
-            vals = {}
-            for m in laplace.METHODS:
-                try:
-                    vals[m] = laplace.evaluate(p, s, m).value
-                except QsdError:
-                    vals[m] = math.nan
-            ok = [v for v in vals.values() if not math.isnan(v)]
-            rows.append([A, s] + list(vals.values())
-                        + [moments.max_rel_spread(ok),
-                           laplace.ode_residual(p, s, method="bessel")])
-    _write_csv(path, ["A", "s"] + list(laplace.METHODS)
-               + ["max_rel_spread", "ode_residual"], rows, precision)
-    return path
+            rows.append([A, s] + laplace_row(p, s, laplace.METHODS))
+    return ["A", "s"] + list(laplace.METHODS) + ["max_rel_spread", "ode_residual"], rows
+
+
+# reproduce target -> (file name, table builder)
+TARGETS = {
+    "fig1": ("fig1_moments_vs_A.csv", fig1_table),
+    "fig2": ("fig2_moments_vs_n.csv", fig2_table),
+    "bounds": ("eigenvalue_bounds.csv", bounds_table),
+    "laplace-table": ("laplace_agreement.csv", laplace_table),
+}
 
 
 def cmd_reproduce(args, out: Output):
     os.makedirs(args.out_dir, exist_ok=True)
-    targets = {
-        "fig1": ("fig1_moments_vs_A.csv", write_fig1),
-        "fig2": ("fig2_moments_vs_n.csv", write_fig2),
-        "bounds": ("eigenvalue_bounds.csv", write_bounds),
-        "laplace-table": ("laplace_agreement.csv", write_laplace_table),
-    }
-    name, writer = targets[args.target]
-    path = writer(os.path.join(args.out_dir, name), out.precision)
+    name, table = TARGETS[args.target]
+    path = write_text(os.path.join(args.out_dir, name),
+                      csv_text(*table(), out.precision))
     sys.stdout.write(path + "\n")
-    return 0
-
-
-PROBE_FNS = {
-    "gamma": (specfun.gamma, 1),
-    "pochhammer": (lambda z, n: specfun.pochhammer(z, int(n.real)), 2),
-    "hyp2f2": (specfun.hyp2f2, 5),
-    "whittaker_m": (lambda a, b, z: specfun.whittaker_m(a.real, b, z.real), 3),
-    "whittaker_w": (lambda a, b, z: specfun.whittaker_w(a.real, b, z.real), 3),
-    "bessel_i": (lambda b, z: specfun.bessel_i(b, z.real), 2),
-    "bessel_k": (lambda b, z: specfun.bessel_k(b, z.real), 2),
-    "kampe_de_feriet": (
-        lambda a1, a2, b1, b2, u, v:
-        specfun.kampe_de_feriet(a1, a2, b1, b2, u.real, v.real), 6),
-    "weber": (lambda u, a, b: None, 3),  # replaced below; keeps arity table flat
-}
-PROBE_FNS["weber_i"] = (
-    lambda u, a, b: specfun.weber_incomplete("I", u.real, a.real, b), 3)
-PROBE_FNS["weber_k"] = (
-    lambda u, a, b: specfun.weber_incomplete("K", u.real, a.real, b), 3)
-del PROBE_FNS["weber"]
-
-
-def cmd_specfun_probe(args, out: Output):
-    if args.fn not in PROBE_FNS:
-        raise QsdError(f"unknown probe function {args.fn!r}; "
-                       f"choose from {sorted(PROBE_FNS)}")
-    fn, arity = PROBE_FNS[args.fn]
-    if len(args.args) != arity:
-        raise QsdError(f"{args.fn} expects {arity} arguments")
-    vals = [complex(a) for a in args.args]
-    result = complex(fn(*vals))
-    sys.stdout.write(json.dumps({
-        "fn": args.fn,
-        "args": args.args,
-        "value": {"re": result.real, "im": result.imag},
-        "error_estimate": 1e-12 * (1.0 + abs(result)),
-    }) + "\n")
     return 0
 
 
@@ -370,14 +325,18 @@ def build_parser():
                     "Laplace transform, and Monte Carlo verification.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def precision(sp):
+        sp.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
+
     def common(sp):
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.add_argument("--output", default=None, help="write to file")
-        sp.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
+        precision(sp)
 
     sp = sub.add_parser("eigen", help="principal eigenvalue lambda_A")
-    sp.add_argument("--A", type=float)
-    sp.add_argument("--grid", help="lo:hi:n sweep over A")
+    level = sp.add_mutually_exclusive_group(required=True)
+    level.add_argument("--A", type=float)
+    level.add_argument("--grid", help="lo:hi:n sweep over A")
     sp.add_argument("--log", action="store_true", help="log-space the sweep")
     sp.add_argument("--tol", type=float, default=eigen.DEFAULT_TOL)
     common(sp)
@@ -396,72 +355,53 @@ def build_parser():
         sp.set_defaults(run=fn)
 
     sp = sub.add_parser("moments", help="moment series by independent routes")
-    sp.add_argument("--A", type=float)
+    sp.add_argument("--A", type=float, required=True)
     sp.add_argument("--n-max", type=int, default=10)
     sp.add_argument("--method", default="all",
                     choices=("all",) + moments.METHODS)
-    sp.add_argument("--figures", metavar="DIR",
-                    help="emit the moment figure data grids to DIR")
     common(sp)
     sp.set_defaults(run=cmd_moments)
 
-    sp = sub.add_parser("laplace", help="Laplace transform by four routes")
-    sp.add_argument("--A", type=float)
+    sp = sub.add_parser("laplace", help="Laplace transform by five routes")
+    level = sp.add_mutually_exclusive_group(required=True)
+    level.add_argument("--A", type=float)
+    level.add_argument("--limit-check", action="store_true",
+                       help="compare an A-sweep against the stationary transform")
     sp.add_argument("--s", required=True, help="value or lo:hi:n grid")
     sp.add_argument("--method", default="all",
                     choices=("all",) + laplace.METHODS)
-    sp.add_argument("--limit-check", action="store_true",
-                    help="compare an A-sweep against the stationary transform")
     common(sp)
     sp.set_defaults(run=cmd_laplace)
 
-    sp = sub.add_parser("simulate", help="Euler-Maruyama Monte Carlo run")
-    sp.add_argument("--A", type=float, required=True)
-    sp.add_argument("--r0", type=float, default=0.0)
-    sp.add_argument("--dt", type=float, default=1e-4)
-    sp.add_argument("--horizon", type=float, default=None)
-    sp.add_argument("--paths", type=int, default=200_000)
-    sp.add_argument("--seed", type=int, default=0)
+    def sim(name, fn, help_):
+        sp = sub.add_parser(name, help=help_)
+        sp.add_argument("--A", type=float, required=True)
+        sp.add_argument("--r0", type=float, default=0.0)
+        sp.add_argument("--dt", type=float, default=1e-4)
+        sp.add_argument("--horizon", type=float, default=None)
+        sp.add_argument("--paths", type=int, default=200_000)
+        sp.add_argument("--seed", type=int, default=0)
+        common(sp)
+        sp.set_defaults(run=fn, format="json")
+        return sp
+
+    sp = sim("simulate", cmd_simulate, "Euler-Maruyama Monte Carlo run")
     sp.add_argument("--histogram-out", default=None)
     sp.add_argument("--survival-out", default=None)
-    common(sp)
-    sp.set_defaults(run=cmd_simulate, format="json")
-
-    sp = sub.add_parser("verify", help="simulate and compare to the formulas")
-    sp.add_argument("--A", type=float, required=True)
-    sp.add_argument("--r0", type=float, default=0.0)
-    sp.add_argument("--dt", type=float, default=1e-4)
-    sp.add_argument("--horizon", type=float, default=None)
-    sp.add_argument("--paths", type=int, default=200_000)
-    sp.add_argument("--seed", type=int, default=0)
-    common(sp)
-    sp.set_defaults(run=cmd_verify, format="json")
+    sim("verify", cmd_verify, "simulate and compare to the formulas")
 
     sp = sub.add_parser("reproduce",
                         help="emit figure/table data grids as CSV")
-    sp.add_argument("target", choices=("fig1", "fig2", "bounds", "laplace-table"))
+    sp.add_argument("target", choices=TARGETS)
     sp.add_argument("--out-dir", default=".")
-    common(sp)
+    precision(sp)
     sp.set_defaults(run=cmd_reproduce)
-
-    sp = sub.add_parser("specfun-probe")  # debugging aid, undocumented
-    sp.add_argument("fn")
-    sp.add_argument("args", nargs="*")
-    common(sp)
-    sp.set_defaults(run=cmd_specfun_probe, format="json")
 
     return parser
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "eigen" and not (args.A or args.grid):
-        parser.error("eigen requires --A or --grid")
-    if args.command in ("moments", "laplace") and args.A is None:
-        if not (args.command == "moments" and args.figures) and \
-           not (args.command == "laplace" and args.limit_check):
-            parser.error(f"{args.command} requires --A")
+    args = build_parser().parse_args(argv)
     try:
         out = Output(args)
         return args.run(args, out)

@@ -55,6 +55,11 @@ def lambda_bounds(A: float) -> tuple[float, float]:
     return lo, hi
 
 
+def _check_tol(tol):
+    if not tol > 0:
+        raise DomainError(f"tol must be > 0, got {tol}")
+
+
 def eigen_objective(lam: float, A: float) -> float:
     """W_{1, xi(lambda)/2}(2/A); continuous across lambda = 1/8."""
     return whittaker_w(1.0, xi_of_lambda(lam).halved(), 2.0 / A)
@@ -69,6 +74,7 @@ def principal_lambda(A: float, tol: float = DEFAULT_TOL) -> EigenSolution:
     captured, and [lo/4, lo] is scanned to rule out a spurious smaller
     root.
     """
+    _check_tol(tol)
     A = float(A)
     lo, hi = lambda_bounds(A)
 
@@ -132,6 +138,7 @@ def principal_lambda(A: float, tol: float = DEFAULT_TOL) -> EigenSolution:
 def critical_A(tol: float = DEFAULT_TOL) -> float:
     """Absorption level at which lambda_A = 1/8 (the xi = 0 borderline),
     i.e. the root of W_{1,0}(2/A) = 0, bracketed in [5, 20]."""
+    _check_tol(tol)
 
     def f(A):
         return whittaker_w(1.0, OrderParam.real(0.0), 2.0 / A)

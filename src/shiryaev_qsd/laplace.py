@@ -1,4 +1,4 @@
-"""Laplace transform of the quasi-stationary distribution by four
+"""Laplace transform of the quasi-stationary distribution by five
 independent routes:
 
   * quadrature    -- int_0^A e^{-sx} q_A(x) dx (the reference oracle)
@@ -32,8 +32,6 @@ from .specfun import (
     kampe_de_feriet,
     weber_incomplete,
 )
-
-METHODS = ("quadrature", "moments", "kdf1", "kdf2", "bessel")
 
 # below this s the lambda/s prefactor route switches to the series route
 KDF2_S_FLOOR = 1e-8
@@ -159,20 +157,21 @@ def stationary_laplace(s: float) -> float:
     return u * float(kv(1, u))
 
 
-def evaluate(p: QsdParams, s: float, method: str,
-             ctl: SeriesControl = DEFAULT_SERIES) -> LaplaceEval:
+ROUTES = {
+    "quadrature": laplace_quadrature,
+    "moments": laplace_moment_series,
+    "kdf1": laplace_kdf1,
+    "kdf2": laplace_kdf2,
+    "bessel": laplace_bessel,
+}
+METHODS = tuple(ROUTES)
+
+
+def evaluate(p: QsdParams, s: float, method: str) -> LaplaceEval:
     """Evaluate the transform by the named route."""
-    if method == "quadrature":
-        return laplace_quadrature(p, s)
-    if method == "moments":
-        return laplace_moment_series(p, s, ctl)
-    if method == "kdf1":
-        return laplace_kdf1(p, s, ctl)
-    if method == "kdf2":
-        return laplace_kdf2(p, s, ctl)
-    if method == "bessel":
-        return laplace_bessel(p, s)
-    raise ValueError(f"unknown method {method!r}")
+    if method not in ROUTES:
+        raise ValueError(f"unknown method {method!r}")
+    return ROUTES[method](p, s)
 
 
 def ode_residual(p: QsdParams, s: float, h: float | None = None,

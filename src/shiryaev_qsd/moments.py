@@ -18,9 +18,8 @@ from dataclasses import dataclass
 
 from . import numerics
 from .distribution import QsdParams, qsd_pdf
+from .errors import DomainError
 from .specfun import as_real, hyp2f2
-
-METHODS = ("recurrence", "2f2", "powerseries", "quadrature")
 
 
 @dataclass(frozen=True)
@@ -99,20 +98,30 @@ def moments_quadrature(p: QsdParams, n_max: int, tol: float = 1e-9) -> MomentSer
     return MomentSeries(p, n_max, tuple(vals), "quadrature")
 
 
+def _termwise(moment, method):
+    """Series route from a closed form for a single moment."""
+    def route(p: QsdParams, n_max: int) -> MomentSeries:
+        return MomentSeries(p, n_max, tuple(moment(p, n) for n in range(n_max + 1)),
+                            method)
+    return route
+
+
+ROUTES = {
+    "recurrence": moments_recurrence,
+    "2f2": _termwise(moment_2f2, "2f2"),
+    "powerseries": _termwise(moment_powerseries, "powerseries"),
+    "quadrature": moments_quadrature,
+}
+METHODS = tuple(ROUTES)
+
+
 def moment_series(p: QsdParams, n_max: int, method: str = "recurrence") -> MomentSeries:
     """Moment series by the named route."""
-    if method == "recurrence":
-        return moments_recurrence(p, n_max)
-    if method == "2f2":
-        return MomentSeries(p, n_max,
-                            tuple(moment_2f2(p, n) for n in range(n_max + 1)), "2f2")
-    if method == "powerseries":
-        return MomentSeries(p, n_max,
-                            tuple(moment_powerseries(p, n) for n in range(n_max + 1)),
-                            "powerseries")
-    if method == "quadrature":
-        return moments_quadrature(p, n_max)
-    raise ValueError(f"unknown method {method!r}")
+    if method not in ROUTES:
+        raise ValueError(f"unknown method {method!r}")
+    if n_max < 0:
+        raise DomainError(f"n_max must be >= 0, got {n_max}")
+    return ROUTES[method](p, n_max)
 
 
 def variance(p: QsdParams) -> float:

@@ -80,7 +80,9 @@ def _fit_decay(times, alive):
     mask = alive > 0
     t, n = times[mask], alive[mask]
     if t.size < 3:
-        raise AllAbsorbedError("too few populated survival records for a tail fit")
+        raise ConfigError(
+            f"the fit window t >= horizon/2 holds {t.size} populated survival "
+            "records, a tail fit needs at least 3; lengthen the horizon")
     # var(log N) ~ 1/N for Poisson counts, so weights sqrt(N) make the
     # unscaled covariance directly interpretable
     coef, cov = np.polyfit(t, np.log(n), 1, w=np.sqrt(n), cov="unscaled")

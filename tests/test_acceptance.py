@@ -20,7 +20,6 @@ from shiryaev_qsd import (
     principal_lambda,
     qsd_cdf,
     qsd_pdf,
-    simulate,
     stationary_cdf,
     stationary_laplace,
 )
@@ -35,7 +34,7 @@ from shiryaev_qsd.moments import (
     moments_recurrence,
 )
 from shiryaev_qsd.numerics import integrate
-from shiryaev_qsd.simulate import SimConfig
+from shiryaev_qsd.simulate import SimConfig, simulate
 from shiryaev_qsd.specfun import (
     OrderParam,
     bessel_i,

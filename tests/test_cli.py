@@ -1,10 +1,10 @@
 """Command-line interface: exit codes, output formats, and the
 reproduce targets."""
 
+import argparse
 import csv
 import io
 import json
-import math
 
 import pytest
 
@@ -63,6 +63,46 @@ class TestExitCodes:
         assert code == 1
         assert json.loads(err)["error"] == "DomainError"
 
+    def test_zero_level_is_a_domain_error(self, capsys):
+        code, out, err = run_cli(capsys, "eigen", "--A", "0")
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "DomainError"
+
+    @pytest.mark.parametrize("argv", [
+        ("eigen", "--A", "2", "--grid", "1:2:2"),
+        ("laplace", "--A", "2", "--s", "1", "--limit-check"),
+        ("moments", "--n-max", "3"),
+    ], ids=["eigen-level-and-grid", "laplace-level-and-limit-check",
+            "moments-without-level"])
+    def test_conflicting_or_missing_level_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(list(argv))
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv, error", [
+        (("laplace", "--A", "5", "--s", "abc"), "QsdError"),
+        (("eigen", "--grid", "0:5:3", "--log"), "QsdError"),
+        (("eigen", "--A", "2", "--tol", "0"), "DomainError"),
+        (("moments", "--A", "5", "--n-max", "-1"), "DomainError"),
+    ], ids=["laplace-s-not-a-number", "eigen-log-grid-from-zero",
+            "eigen-tol-zero", "moments-negative-order"])
+    def test_bad_input_is_a_clean_failure(self, capsys, argv, error):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == error
+
+    def test_unwritable_output_is_a_clean_failure(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "m.csv"
+        code, out, err = run_cli(capsys, "moments", "--A", "3", "--n-max", "1",
+                                 "--output", str(target))
+        assert code == 1
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "QsdError"
+        assert str(target) in payload["message"]
+
 
 class TestEigenCommand:
     def test_single_level_json(self, capsys):
@@ -108,6 +148,15 @@ class TestOutputOptions:
         assert len(short_out) < len(long_out)
         row = short_out.splitlines()[1].split(",")
         assert float(row[1]) == pytest.approx(1.0)
+
+    def test_cdf_grid_rises_to_one_at_the_level(self, capsys):
+        code, out, _ = run_cli(capsys, "cdf", "--A", "5", "--grid", "0:5:6")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [float(r["x"]) for r in rows] == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+        cdf = [float(r["cdf"]) for r in rows]
+        assert cdf[0] == 0.0 and cdf[-1] == pytest.approx(1.0, abs=1e-12)
+        assert all(a < b for a, b in zip(cdf, cdf[1:]))
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(capsys, "pdf", "--A", "5", "--grid", "1:4:3",
@@ -171,6 +220,19 @@ class TestSimulateAndVerify:
         rows = list(csv.DictReader(io.StringIO(hist.read_text())))
         assert rows and all(float(r["density"]) >= 0 for r in rows)
 
+    def test_simulate_writes_its_survival_curve(self, capsys, tmp_path):
+        surv = tmp_path / "surv.csv"
+        code, _, _ = run_cli(capsys, "simulate", *SMALL_RUN, "--precision", "17",
+                             "--survival-out", str(surv))
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(surv.read_text())))
+        # one record every 0.1 time units from 0 to the horizon
+        t = [float(r["t"]) for r in rows]
+        alive = [float(r["fraction_alive"]) for r in rows]
+        assert t == pytest.approx([k / 10 for k in range(31)])
+        assert alive[0] == 1.0 and 0 < alive[-1] < 1
+        assert all(a >= b for a, b in zip(alive, alive[1:]))
+
     # dt 1e-3 misses barrier crossings between steps and fails the 5% gate
     # on lambda; dt 1e-4 passes it
     @pytest.mark.parametrize("extra, passed", [
@@ -220,33 +282,8 @@ class TestReproduce:
             assert float(r["lower_bound"]) < float(r["lambda"]) < float(r["upper_bound"])
 
 
-class TestSpecfunProbe:
-    def test_probe_emits_json_value(self, capsys):
-        code, out, _ = run_cli(capsys, "specfun-probe", "gamma", "5")
-        assert code == 0
-        rec = json.loads(out)
-        assert rec["value"]["re"] == pytest.approx(24.0, rel=1e-12)
-        assert rec["value"]["im"] == pytest.approx(0.0, abs=1e-12)
-
-    def test_probe_supports_imaginary_orders(self, capsys):
-        code, out, _ = run_cli(capsys, "specfun-probe", "bessel_k", "0.5j", "2")
-        assert code == 0
-        assert math.isfinite(json.loads(out)["value"]["re"])
-
-    def test_unknown_probe_function_fails_cleanly(self, capsys):
-        code, _, err = run_cli(capsys, "specfun-probe", "zeta", "2")
-        assert code == 1
-        assert "unknown probe function" in json.loads(err)["message"]
-
-    def test_wrong_arity_fails_cleanly(self, capsys):
-        code, _, err = run_cli(capsys, "specfun-probe", "gamma", "1", "2")
-        assert code == 1
-        assert "expects" in json.loads(err)["message"]
-
-
 def test_parser_lists_all_subcommands():
-    parser = build_parser()
-    text = parser.format_help()
-    for name in ("eigen", "critical-a", "pdf", "cdf", "moments", "laplace",
-                 "simulate", "verify", "reproduce"):
-        assert name in text
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == {"eigen", "critical-a", "pdf", "cdf", "moments",
+                                "laplace", "simulate", "verify", "reproduce"}

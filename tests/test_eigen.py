@@ -104,6 +104,14 @@ class TestPrincipalLambda:
         assert a is b  # cached
         assert a.lam == b.lam
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan])
+    def test_nonpositive_tolerance_rejected(self, tol):
+        with pytest.raises(DomainError):
+            principal_lambda(2.0, tol)
+        with pytest.raises(DomainError):
+            critical_A(tol)
+
+
 
 class TestCriticalA:
     def test_value(self):

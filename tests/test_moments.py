@@ -8,6 +8,7 @@ import pytest
 
 from shiryaev_qsd import moments
 from shiryaev_qsd.distribution import qsd_pdf
+from shiryaev_qsd.errors import DomainError
 from shiryaev_qsd.moments import (
     MomentSeries,
     max_rel_spread,
@@ -119,6 +120,11 @@ class TestDispatcher:
     def test_unknown_method_rejected(self, params_for):
         with pytest.raises(ValueError):
             moment_series(params_for(5.0), 3, "oracle")
+
+    def test_negative_order_rejected_by_every_route(self, params_for):
+        for m in moments.METHODS:
+            with pytest.raises(DomainError):
+                moment_series(params_for(5.0), -1, m)
 
     def test_series_records_its_method(self, params_for):
         s = moment_series(params_for(5.0), 2, "2f2")

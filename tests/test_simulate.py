@@ -6,10 +6,12 @@ the acceptance suite; these tests use smaller ensembles to stay fast.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
+import shiryaev_qsd
 from shiryaev_qsd.errors import AllAbsorbedError, ConfigError, MismatchedAError
 from shiryaev_qsd.simulate import (
     ComparisonReport,
@@ -86,6 +88,11 @@ class TestAbsorption:
         with pytest.raises(AllAbsorbedError):
             simulate(SimConfig(A=2.0, dt=1e-3, horizon=30.0, paths=20_000, seed=0))
 
+    def test_short_horizon_is_a_config_error_while_paths_live(self):
+        # records at t = 0, 0.1, 0.2 leave two in the fit window t >= 0.1
+        with pytest.raises(ConfigError, match="holds 2 populated survival records"):
+            simulate(SimConfig(A=2.0, dt=1e-3, horizon=0.2, paths=100, seed=0))
+
     def test_survival_curve_is_monotone_and_normalized(self):
         emp = simulate(_small())
         frac = emp.survival[:, 1]
@@ -142,3 +149,9 @@ class TestComparison:
         emp = simulate(_small())
         with pytest.raises(MismatchedAError):
             compare_to_analytic(emp, params_for(5.0))
+
+
+def test_package_attribute_is_the_submodule():
+    # a package-level name `simulate` would shadow the submodule, and
+    # `shiryaev_qsd.simulate.SimConfig` would then raise AttributeError
+    assert shiryaev_qsd.simulate is sys.modules["shiryaev_qsd.simulate"]
