@@ -39,13 +39,13 @@ from .moments import (
     variance,
 )
 from .simulate import EmpiricalQsd, SimConfig, compare_to_analytic
-from .specfun import OrderParam, SeriesControl
+from .specfun import OrderParam
 
 __version__ = "0.1.0"
 
 __all__ = [
     "EigenSolution", "EmpiricalQsd", "LaplaceEval", "MomentSeries",
-    "OrderParam", "QsdParams", "SeriesControl", "SimConfig",
+    "OrderParam", "QsdParams", "SimConfig",
     "compare_to_analytic", "critical_A", "lambda_bounds", "laplace_bessel",
     "laplace_kdf1", "laplace_kdf2", "laplace_moment_series",
     "laplace_quadrature", "make_params", "moment_2f2", "moment_powerseries",

@@ -309,7 +309,10 @@ TARGETS = {
 
 
 def cmd_reproduce(args, out: Output):
-    os.makedirs(args.out_dir, exist_ok=True)
+    try:
+        os.makedirs(args.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise QsdError(f"cannot create {args.out_dir!r}: {exc.strerror}") from exc
     name, table = TARGETS[args.target]
     path = write_text(os.path.join(args.out_dir, name),
                       csv_text(*table(), out.precision))

@@ -9,7 +9,6 @@ lambda <= 1/8 and purely imaginary for lambda > 1/8.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -18,6 +17,15 @@ from .errors import BracketFailure, DomainError
 from .specfun import OrderParam, whittaker_w
 
 DEFAULT_TOL = 1e-12
+
+# supported absorption levels (see the README): below A_MIN the
+# normalizer e^{-1/A} W_{0,xi/2}(2/A) underflows and W stops converging;
+# above A_MAX the quadrature routes lose the pdf's mass
+A_MIN = 0.005
+A_MAX = 1e4
+
+# points of the scan for the first sign change inside the bounds
+SCAN_POINTS = 48
 
 # residual scale guard: |W| at the root must be tiny relative to the
 # objective's size near the bracket endpoints
@@ -45,11 +53,16 @@ def xi_of_lambda(lam: float) -> OrderParam:
 
 
 def lambda_bounds(A: float) -> tuple[float, float]:
-    """Strict lower/upper bounds for lambda_A from moment positivity."""
+    """Strict lower/upper bounds for lambda_A from moment positivity.
+
+    Also the gate on the supported range [A_MIN, A_MAX] of A.
+    """
     if not A > 0:
         raise DomainError(f"A must be > 0, got {A}")
     if not math.isfinite(A):
         raise DomainError(f"A must be finite, got {A}")
+    if not A_MIN <= A <= A_MAX:
+        raise DomainError(f"A must lie in [{A_MIN:g}, {A_MAX:g}], got {A}")
     lo = 1.0 / A + 1.0 / (A + A * A)
     hi = 1.0 / A + (1.0 + math.sqrt(4.0 * A + 1.0)) / (2.0 * A * A)
     return lo, hi
@@ -69,10 +82,10 @@ def eigen_objective(lam: float, A: float) -> float:
 def principal_lambda(A: float, tol: float = DEFAULT_TOL) -> EigenSolution:
     """Smallest positive eigenvalue lambda_A for absorption level A.
 
-    The moment-derived bounds bracket the principal root; the bracket is
-    widened once on each side (with a warning) if the sign change is not
-    captured, and [lo/4, lo] is scanned to rule out a spurious smaller
-    root.
+    The moment-derived bounds are strict, so the principal root is the
+    first sign change of the objective inside them; no sign change there
+    is a BracketFailure.  [lo/4, lo] is scanned to rule out a spurious
+    smaller root.
     """
     _check_tol(tol)
     A = float(A)
@@ -81,34 +94,20 @@ def principal_lambda(A: float, tol: float = DEFAULT_TOL) -> EigenSolution:
     def f(lam):
         return eigen_objective(lam, A)
 
-    def first_sign_change(a, b, n=48):
-        # the bounds interval can contain higher eigenvalues too (their
-        # spacing shrinks relative to the interval for small A), so find
-        # the FIRST sign change rather than trusting the endpoints
-        grid = [a + k * (b - a) / n for k in range(n + 1)]
-        vals = [f(x) for x in grid]
-        scan_scale = max(abs(v) for v in vals)
-        for x0, x1, g0, g1 in zip(grid, grid[1:], vals, vals[1:]):
-            if g0 == 0.0:
-                return x0, x0, g0, g0, scan_scale
-            if g0 * g1 < 0:
-                return x0, x1, g0, g1, scan_scale
-        return None
-
-    found = first_sign_change(lo, hi)
-    if found is None:
-        warnings.warn(
-            f"eigenvalue bounds ({lo}, {hi}) at A={A} missed the sign "
-            "change; widening bracket once on each side",
-            stacklevel=2,
+    # the bounds interval can contain higher eigenvalues too (their
+    # spacing shrinks relative to the interval for small A), so find
+    # the FIRST sign change rather than trusting the endpoints
+    grid = [lo + k * (hi - lo) / SCAN_POINTS for k in range(SCAN_POINTS + 1)]
+    vals = [f(x) for x in grid]
+    scan_scale = max(abs(v) for v in vals)
+    for b_lo, b_hi, f_lo, f_hi in zip(grid, grid[1:], vals, vals[1:]):
+        if f_lo == 0.0 or f_lo * f_hi < 0:
+            break
+    else:
+        raise BracketFailure(
+            f"no sign change in the bounds ({lo}, {hi}) at A={A}; "
+            "this indicates a special-function defect"
         )
-        found = first_sign_change(lo / 2.0, hi * 2.0, n=96)
-        if found is None:
-            raise BracketFailure(
-                f"no sign change in widened bracket ({lo / 2.0}, {hi * 2.0}) "
-                f"at A={A}; this indicates a special-function defect"
-            )
-    b_lo, b_hi, f_lo, f_hi, scan_scale = found
 
     # cheap insurance against a smaller root below the analytic bound
     guard = [lo / 4.0 + k * (lo - lo / 4.0) / 8.0 for k in range(9)]
@@ -119,7 +118,7 @@ def principal_lambda(A: float, tol: float = DEFAULT_TOL) -> EigenSolution:
                 f"spurious eigenvalue sign change below the lower bound at A={A}"
             )
 
-    if b_lo == b_hi:
+    if f_lo == 0.0:
         lam = b_lo
     else:
         # tol acts relative to lambda's magnitude: the absolute lambda

@@ -9,14 +9,6 @@ class DomainError(QsdError):
     """An argument lies outside the mathematical domain of the operation."""
 
 
-class PoleError(DomainError):
-    """Evaluation requested at a pole (e.g. gamma at a nonpositive integer)."""
-
-
-class ParameterPoleError(DomainError):
-    """A function parameter hits a pole of the defining representation."""
-
-
 class DenominatorPoleError(DomainError):
     """A denominator parameter of a hypergeometric series is a nonpositive integer."""
 
@@ -42,7 +34,7 @@ class InvalidBracketError(QsdError):
 
 
 class BracketFailure(QsdError):
-    """No sign change could be captured even after widening the bracket."""
+    """The eigenvalue bounds hold no sign change, or the root fails its checks."""
 
 
 class ConfigError(QsdError):

@@ -21,20 +21,16 @@ from dataclasses import dataclass
 import mpmath as mp
 from scipy.special import kv
 
-from . import numerics
+from . import numerics, specfun
 from .distribution import QsdParams, qsd_pdf
 from .errors import DomainError, NonConvergenceError
-from .specfun import (
-    DEFAULT_SERIES,
-    SeriesControl,
-    bessel_i,
-    bessel_k,
-    kampe_de_feriet,
-    weber_incomplete,
-)
+from .specfun import bessel_i, bessel_k, kampe_de_feriet, weber_incomplete
 
 # below this s the lambda/s prefactor route switches to the series route
 KDF2_S_FLOOR = 1e-8
+
+# absolute and relative tolerance of the reference quadrature route
+QUADRATURE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -43,7 +39,6 @@ class LaplaceEval:
     A: float
     value: float
     method: str
-    err_estimate: float
 
 
 def _check_s(s):
@@ -51,32 +46,28 @@ def _check_s(s):
         raise DomainError(f"s must be >= 0, got {s}")
 
 
-def laplace_quadrature(p: QsdParams, s: float, tol: float = 1e-10) -> LaplaceEval:
+def laplace_quadrature(p: QsdParams, s: float) -> LaplaceEval:
     """Direct integral of e^{-sx} against the closed-form pdf."""
     _check_s(s)
     A = p.eigen.A
     res = numerics.integrate(lambda x: math.exp(-s * x) * qsd_pdf(p, x), 0.0, A,
-                             tol=tol)
-    return LaplaceEval(s, A, res.value, "quadrature", res.abs_err_estimate)
+                             tol=QUADRATURE_TOL)
+    return LaplaceEval(s, A, res.value, "quadrature")
 
 
-def laplace_moment_series(p: QsdParams, s: float,
-                          ctl: SeriesControl = DEFAULT_SERIES) -> LaplaceEval:
+def laplace_moment_series(p: QsdParams, s: float) -> LaplaceEval:
     """Taylor expansion around s = 0, with the moments regenerated from
     the recurrence at a working precision sized to the alternating-sum
     cancellation (the partial terms peak near exp(sA))."""
     _check_s(s)
     lam, A = p.eigen.lam, p.eigen.A
     if s == 0.0:
-        return LaplaceEval(s, A, 1.0, "moments", 0.0)
+        return LaplaceEval(s, A, 1.0, "moments")
     peak = s * A / math.log(10.0)
-    dps = 25 + int(1.2 * peak)
-    if dps > 350:
-        raise NonConvergenceError(
-            f"moment series needs ~{dps} digits at s={s}, A={A}; refusing")
+    dps = specfun.series_dps(peak, f"moment series at s={s}, A={A}")
     with mp.workdps(dps):
         lam_m, A_m, s_m = mp.mpf(lam), mp.mpf(A), mp.mpf(s)
-        tol = mp.mpf(ctl.rel_tol)
+        tol = mp.mpf(specfun.SERIES_REL_TOL)
         total = mp.mpf(0)
         moment = mp.mpf(1)
         coeff = mp.mpf(1)  # (-s)^n / n!
@@ -91,60 +82,58 @@ def laplace_moment_series(p: QsdParams, s: float,
                     break
             else:
                 small = 0
-            if n + 1 >= ctl.max_terms:
+            if n + 1 >= specfun.SERIES_MAX_TERMS:
                 raise NonConvergenceError(
-                    f"moment series exceeded {ctl.max_terms} terms")
+                    f"moment series exceeded {specfun.SERIES_MAX_TERMS} terms")
             n += 1
             moment = (lam_m * A_m**n - n * moment) / (n * (n - 1) / 2 + lam_m)
             coeff *= -s_m / n
         value = float(total)
-    return LaplaceEval(s, A, value, "moments", ctl.rel_tol * max(1.0, abs(value)))
+    return LaplaceEval(s, A, value, "moments")
 
 
-def laplace_kdf1(p: QsdParams, s: float,
-                 ctl: SeriesControl = DEFAULT_SERIES) -> LaplaceEval:
+def laplace_kdf1(p: QsdParams, s: float) -> LaplaceEval:
     """Double series with numerator pair -1/2 -+ xi/2 and denominator
     pair 1/2 -+ xi/2, evaluated at (-sA, 2s)."""
     _check_s(s)
     A = p.eigen.A
     hx = p.eigen.xi.halved().value
     value = kampe_de_feriet(-0.5 - hx, -0.5 + hx, 0.5 - hx, 0.5 + hx,
-                            -s * A, 2.0 * s, ctl)
-    return LaplaceEval(s, A, value, "kdf1", ctl.rel_tol * max(1.0, abs(value)))
+                            -s * A, 2.0 * s)
+    return LaplaceEval(s, A, value, "kdf1")
 
 
-def laplace_kdf2(p: QsdParams, s: float,
-                 ctl: SeriesControl = DEFAULT_SERIES) -> LaplaceEval:
+def laplace_kdf2(p: QsdParams, s: float) -> LaplaceEval:
     """(lambda/s) (F[...] - e^{-sA}) with the repeated-parameter double
     series; the removable singularity at s = 0 is taken via the
     moment-series route."""
     _check_s(s)
     if s < KDF2_S_FLOOR:
-        ev = laplace_moment_series(p, s, ctl)
-        return LaplaceEval(s, ev.A, ev.value, "kdf2", ev.err_estimate)
+        ev = laplace_moment_series(p, s)
+        return LaplaceEval(s, ev.A, ev.value, "kdf2")
     lam, A = p.eigen.lam, p.eigen.A
     hx = p.eigen.xi.halved().value
     f = kampe_de_feriet(-0.5 - hx, -0.5 + hx, -0.5 - hx, -0.5 + hx,
-                        -s * A, 2.0 * s, ctl)
+                        -s * A, 2.0 * s)
     value = lam / s * (f - math.exp(-s * A))
-    return LaplaceEval(s, A, value, "kdf2", ctl.rel_tol * max(1.0, abs(value)))
+    return LaplaceEval(s, A, value, "kdf2")
 
 
-def laplace_bessel(p: QsdParams, s: float, tol: float = 1e-11) -> LaplaceEval:
+def laplace_bessel(p: QsdParams, s: float) -> LaplaceEval:
     """Closed form through modified Bessel functions and incomplete
     Weber integrals; the only analytic route valid uniformly in s, A."""
     _check_s(s)
     lam, A = p.eigen.lam, p.eigen.A
     xi = p.eigen.xi
     if s == 0.0:
-        return LaplaceEval(s, A, 1.0, "bessel", 0.0)
+        return LaplaceEval(s, A, 1.0, "bessel")
     u = 2.0 * math.sqrt(2.0 * s)
     ki = bessel_k(xi, u)
     ii = bessel_i(xi, u)
-    w_i = weber_incomplete("I", u, A, xi, tol=tol)
-    w_k = weber_incomplete("K", u, A, xi, tol=tol)
+    w_i = weber_incomplete("I", u, A, xi)
+    w_k = weber_incomplete("K", u, A, xi)
     value = u * ki / p.normalizer + 8.0 * lam * (u * ki * w_i - u * ii * w_k)
-    return LaplaceEval(s, A, value, "bessel", 10 * tol * max(1.0, abs(value)))
+    return LaplaceEval(s, A, value, "bessel")
 
 
 def stationary_laplace(s: float) -> float:
@@ -174,18 +163,17 @@ def evaluate(p: QsdParams, s: float, method: str) -> LaplaceEval:
     return ROUTES[method](p, s)
 
 
-def ode_residual(p: QsdParams, s: float, h: float | None = None,
-                 method: str = "bessel") -> float:
+def ode_residual(p: QsdParams, s: float, method: str = "bessel") -> float:
     """(s^2/2) L'' - (s - lambda) L - lambda e^{-sA} with L'' from
     central differences (one Richardson level) of the chosen route.
 
     The route is evaluated once at each of the five points s, s +- h/2
-    and s +- h; L(s) serves both second differences and the residual.
+    and s +- h, with step h = 1e-4 max(1, s); L(s) serves both second
+    differences and the residual.
     """
     if s <= 0:
         raise DomainError(f"ODE residual needs s > 0, got {s}")
-    if h is None:
-        h = 1e-4 * max(1.0, s)
+    h = 1e-4 * max(1.0, s)
 
     def L(x):
         return evaluate(p, x, method).value

@@ -21,6 +21,9 @@ from .distribution import QsdParams, qsd_pdf
 from .errors import DomainError
 from .specfun import as_real, hyp2f2
 
+# absolute and relative tolerance of each quadrature-route moment
+QUADRATURE_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class MomentSeries:
@@ -32,6 +35,8 @@ class MomentSeries:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
+        if self.n_max < 0:
+            raise DomainError(f"n_max must be >= 0, got {self.n_max}")
 
 
 def moments_recurrence(p: QsdParams, n_max: int) -> MomentSeries:
@@ -81,7 +86,7 @@ def moment_powerseries(p: QsdParams, n: int) -> float:
     return pref / denom * total
 
 
-def moments_quadrature(p: QsdParams, n_max: int, tol: float = 1e-9) -> MomentSeries:
+def moments_quadrature(p: QsdParams, n_max: int) -> MomentSeries:
     """Direct integrals int x^n q_A(x) dx as the independent check.
 
     The n_max + 1 adaptive integrals over [0, A] share most of their
@@ -93,7 +98,7 @@ def moments_quadrature(p: QsdParams, n_max: int, tol: float = 1e-9) -> MomentSer
     pdf = functools.cache(lambda x: qsd_pdf(p, x))
     vals = []
     for n in range(n_max + 1):
-        res = numerics.integrate(lambda x: x**n * pdf(x), 0.0, A, tol=tol)
+        res = numerics.integrate(lambda x: x**n * pdf(x), 0.0, A, tol=QUADRATURE_TOL)
         vals.append(res.value)
     return MomentSeries(p, n_max, tuple(vals), "quadrature")
 
@@ -119,8 +124,6 @@ def moment_series(p: QsdParams, n_max: int, method: str = "recurrence") -> Momen
     """Moment series by the named route."""
     if method not in ROUTES:
         raise ValueError(f"unknown method {method!r}")
-    if n_max < 0:
-        raise DomainError(f"n_max must be >= 0, got {n_max}")
     return ROUTES[method](p, n_max)
 
 

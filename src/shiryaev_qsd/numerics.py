@@ -16,6 +16,7 @@ from scipy.optimize import brentq
 from .errors import InvalidBracketError, NonConvergenceError
 
 DEFAULT_QUAD_TOL = 1e-11
+QUAD_LIMIT = 200
 
 
 @dataclass(frozen=True)
@@ -44,7 +45,6 @@ def bracket_from(f, lo, hi):
 @dataclass(frozen=True)
 class QuadResult:
     value: float
-    abs_err_estimate: float
     evaluations: int
 
 
@@ -58,14 +58,15 @@ def find_root(f, bracket: Bracket, tol: float = 1e-12) -> float:
     return brentq(f, bracket.lo, bracket.hi, xtol=tol, rtol=8 * math.ulp(1.0))
 
 
-def integrate(f, a, b, tol: float = DEFAULT_QUAD_TOL, limit: int = 200) -> QuadResult:
+def integrate(f, a, b, tol: float = DEFAULT_QUAD_TOL) -> QuadResult:
     """Adaptive quadrature of f over (a, b); b may be +inf.
 
     Globally adaptive Gauss-Kronrod subdivision with both absolute and
-    relative tolerance tol.  Raises NonConvergenceError when the budget
-    is exhausted without meeting the tolerance.
+    relative tolerance tol and at most QUAD_LIMIT subintervals.  Raises
+    NonConvergenceError when QUADPACK warns and its error estimate
+    exceeds 100 tol max(1, |value|).
     """
-    out = quad(f, a, b, epsabs=tol, epsrel=tol, limit=limit, full_output=True)
+    out = quad(f, a, b, epsabs=tol, epsrel=tol, limit=QUAD_LIMIT, full_output=True)
     value, abserr, info = out[0], out[1], out[2]
     if len(out) > 3:  # a warning message was produced
         scale = max(abs(value), 1.0)
@@ -74,4 +75,4 @@ def integrate(f, a, b, tol: float = DEFAULT_QUAD_TOL, limit: int = 200) -> QuadR
                 f"quadrature on ({a}, {b}) did not converge: "
                 f"value={value}, abs_err={abserr}: {out[3]}"
             )
-    return QuadResult(value, abserr, int(info["neval"]))
+    return QuadResult(value, int(info["neval"]))

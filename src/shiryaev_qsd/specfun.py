@@ -1,6 +1,7 @@
-"""Special functions: Gamma, Pochhammer, 2F2, Whittaker M/W, modified
-Bessel I/K (real and purely imaginary order), the bivariate double
-hypergeometric series F^{0:2;1}_{2:0;0}, and incomplete Weber integrals.
+"""Special functions the closed forms need: the 2F2 series, Whittaker W,
+modified Bessel I/K (real and purely imaginary order), the bivariate
+double hypergeometric series F^{0:2;1}_{2:0;0}, and incomplete Weber
+integrals.
 
 Whittaker and Bessel evaluations are delegated to mpmath (arbitrary
 precision, complex indices, automatic handling of the logarithmic case
@@ -16,17 +17,15 @@ from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import ive, kve
 
+from . import numerics
 from .errors import (
     DenominatorPoleError,
     DivergenceError,
     EvaluationDomainError,
     ImaginaryResidueError,
     NonConvergenceError,
-    ParameterPoleError,
-    PoleError,
 )
 
 # working precision for mpmath-backed evaluations (decimal digits)
@@ -35,31 +34,23 @@ WORK_DPS = 25
 # |imag| beyond this (relative) scale is treated as a bug, not noise
 HARD_IMAG_TOL = 1e-6
 
+# truncation policy for the power and double series (read at call time)
+SERIES_REL_TOL = 1e-14
+SERIES_MAX_TERMS = 100_000
 
-@dataclass(frozen=True)
-class SeriesControl:
-    """Truncation policy for power and double series."""
+# a series needing more working digits than this is refused, not summed
+MAX_SERIES_DPS = 350
 
-    rel_tol: float = 1e-14
-    max_terms: int = 100_000
-
-    def __post_init__(self):
-        if not self.rel_tol > 0:
-            raise ValueError("rel_tol must be > 0")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be >= 1")
-
-
-DEFAULT_SERIES = SeriesControl()
+# absolute and relative tolerance of each incomplete Weber panel
+WEBER_TOL = 1e-11
 
 
 @dataclass(frozen=True)
 class OrderParam:
     """A purely real or purely imaginary order/index parameter.
 
-    The sign of ``magnitude`` is immaterial for every consumer in this
-    package (all formulas are even in the order); it is kept so that
-    sign-invariance can be exercised directly.
+    The sign of ``magnitude`` is immaterial: every consumer in this
+    package is even in the order and canonicalizes it to |magnitude|.
     """
 
     kind: str  # "real" | "imaginary"
@@ -85,22 +76,19 @@ class OrderParam:
             return complex(self.magnitude, 0.0)
         return complex(0.0, self.magnitude)
 
-    def negated(self) -> "OrderParam":
-        return OrderParam(self.kind, -self.magnitude)
-
     def halved(self) -> "OrderParam":
         return OrderParam(self.kind, self.magnitude / 2.0)
 
 
-def as_real(value, atol_scale: float = HARD_IMAG_TOL) -> float:
+def as_real(value) -> float:
     """Collapse a complex value that must be real down to float.
 
     Raises ImaginaryResidueError when the imaginary part exceeds
-    atol_scale * (1 + |value|); such a violation signals a bug rather
+    HARD_IMAG_TOL * (1 + |value|); such a violation signals a bug rather
     than legitimate data.
     """
     value = complex(value)
-    if abs(value.imag) > atol_scale * (1.0 + abs(value.real)):
+    if abs(value.imag) > HARD_IMAG_TOL * (1.0 + abs(value.real)):
         raise ImaginaryResidueError(
             f"non-negligible imaginary residue {value.imag} in {value}"
         )
@@ -128,31 +116,20 @@ def _is_nonpositive_integer(z) -> bool:
     return z.imag == 0.0 and z.real <= 0.0 and z.real == round(z.real)
 
 
-def gamma(z) -> complex:
-    """Gamma function for complex z (moderate |z|)."""
-    if _is_nonpositive_integer(z):
-        raise PoleError(f"gamma pole at z={z}")
-    with mp.workdps(WORK_DPS):
-        return complex(mp.gamma(complex(z)))
+def series_dps(peak: float, what: str) -> int:
+    """Working digits for a sum whose terms peak ~10^peak above its value:
+    WORK_DPS plus the digits cancellation eats, with 20% headroom.
 
-
-def pochhammer(z, n: int) -> complex:
-    """Rising factorial (z)_n = z (z+1) ... (z+n-1), with (z)_0 = 1.
-
-    The direct product automatically yields the correct two-branch
-    behavior for nonpositive-integer z (exact zero once the factors
-    cross zero).
+    Raises NonConvergenceError beyond MAX_SERIES_DPS; ``what`` names the
+    sum and its arguments in that message.
     """
-    if n < 0:
-        raise ValueError("n must be a nonnegative integer")
-    out = complex(1.0)
-    zc = complex(z)
-    for k in range(n):
-        out *= zc + k
-    return out
+    dps = WORK_DPS + int(1.2 * peak)
+    if dps > MAX_SERIES_DPS:
+        raise NonConvergenceError(f"{what} needs ~{dps} digits; refusing")
+    return dps
 
 
-def hyp2f2(a1, a2, b1, b2, z, ctl: SeriesControl = DEFAULT_SERIES) -> complex:
+def hyp2f2(a1, a2, b1, b2, z) -> complex:
     """Generalized hypergeometric series with two upper and two lower
     parameters, sum_n (a1)_n (a2)_n / ((b1)_n (b2)_n) z^n / n!.
 
@@ -180,44 +157,30 @@ def hyp2f2(a1, a2, b1, b2, z, ctl: SeriesControl = DEFAULT_SERIES) -> complex:
         if n_stop is not None and n == n_stop:
             return total
         if n_stop is None:
-            if abs(term) <= ctl.rel_tol * abs(total):
+            if abs(term) <= SERIES_REL_TOL * abs(total):
                 small_streak += 1
                 if small_streak >= 3:
                     return total
             else:
                 small_streak = 0
-            if n + 1 >= ctl.max_terms:
+            if n + 1 >= SERIES_MAX_TERMS:
                 raise NonConvergenceError(
-                    f"2F2 series did not converge within {ctl.max_terms} terms"
+                    f"2F2 series did not converge within {SERIES_MAX_TERMS} terms"
                 )
         term *= (a1 + n) * (a2 + n) * z / ((b1 + n) * (b2 + n) * (n + 1))
         n += 1
 
 
-def _whittaker(which: str, a, order, z: float) -> float:
-    if z <= 0:
-        raise EvaluationDomainError(f"Whittaker functions need z > 0, got z={z}")
-    b = _canonical_order(order)
-    fn = mp.whitw if which == "w" else mp.whitm
-    with mp.workdps(WORK_DPS):
-        v = fn(float(a), mp.mpc(b), z)
-        return as_real(complex(v))
-
-
-def whittaker_m(a: float, order, z: float) -> float:
-    """Whittaker M function with real first index and a purely real or
-    purely imaginary second index; real-valued for z > 0."""
-    b = _order_complex(order)
-    if _is_nonpositive_integer(1 + 2 * b):
-        raise ParameterPoleError(f"M undefined: 1+2b = {1 + 2 * b}")
-    return _whittaker("m", a, order, z)
-
-
 def whittaker_w(a: float, order, z: float) -> float:
-    """Whittaker W function; even in its second index, which is
-    canonicalized so that negating the order reproduces the value
-    bitwise."""
-    return _whittaker("w", a, order, z)
+    """Whittaker W function with real first index and a purely real or
+    purely imaginary second index; real-valued for z > 0.  Even in the
+    second index, which is canonicalized so that negating the order
+    reproduces the value bitwise."""
+    if z <= 0:
+        raise EvaluationDomainError(f"Whittaker W needs z > 0, got z={z}")
+    b = _canonical_order(order)
+    with mp.workdps(WORK_DPS):
+        return as_real(complex(mp.whitw(float(a), mp.mpc(b), z)))
 
 
 def _bessel_complex(kind: str, order, z: float):
@@ -245,8 +208,7 @@ def bessel_k(order, z: float) -> float:
     return as_real(_bessel_complex("k", order, z))
 
 
-def kampe_de_feriet(a1, a2, b1, b2, u: float, v: float,
-                    ctl: SeriesControl = DEFAULT_SERIES) -> float:
+def kampe_de_feriet(a1, a2, b1, b2, u: float, v: float) -> float:
     """Double hypergeometric series
     sum_{i,j} (a1)_i (a2)_i (1)_j / ((b1)_{i+j} (b2)_{i+j}) u^i v^j / (i! j!).
 
@@ -264,16 +226,12 @@ def kampe_de_feriet(a1, a2, b1, b2, u: float, v: float,
 
     # digits lost to cancellation ~ log10 of the largest term
     peak = (abs(u) + 2.0 * math.sqrt(abs(v))) / math.log(10.0)
-    dps = WORK_DPS + int(1.2 * peak)
-    if dps > 350:
-        raise NonConvergenceError(
-            f"double series needs ~{dps} digits at u={u}, v={v}; refusing"
-        )
+    dps = series_dps(peak, f"double series at u={u}, v={v}")
 
     with mp.workdps(dps):
         a1m, a2m, b1m, b2m = (mp.mpmathify(complex(t)) for t in (a1, a2, b1, b2))
         um, vm = mp.mpf(u), mp.mpf(v)
-        tol = mp.mpf(ctl.rel_tol)
+        tol = mp.mpf(SERIES_REL_TOL)
         # rows near the peak exceed the final sum by ~exp(|u|), so any
         # truncation residue left inside a row survives the cancellation;
         # inner sums therefore run to working precision, not to rel_tol
@@ -302,9 +260,9 @@ def kampe_de_feriet(a1, a2, b1, b2, u: float, v: float,
                         break
                 else:
                     small = 0
-                if terms_used >= ctl.max_terms:
+                if terms_used >= SERIES_MAX_TERMS:
                     raise NonConvergenceError(
-                        f"double series exceeded {ctl.max_terms} terms"
+                        f"double series exceeded {SERIES_MAX_TERMS} terms"
                     )
                 term = term * vm / ((b1m + i + j) * (b2m + i + j))
                 j += 1
@@ -358,8 +316,7 @@ def _weber_integrand_imag(kind: str, level: float, nu_mag: float):
     return f, math.exp(-shift)
 
 
-def weber_incomplete(kind: str, u: float, level: float, order,
-                     tol: float = 1e-11) -> float:
+def weber_incomplete(kind: str, u: float, level: float, order) -> float:
     """Incomplete Weber integral int_u^inf exp(-level x^2/8) C(x) x^-2 dx
     with C the modified Bessel I or K function of the given order.
 
@@ -378,14 +335,7 @@ def weber_incomplete(kind: str, u: float, level: float, order,
         unscale = 1.0
 
     def panel(a, b):
-        out = quad(f, a, b, epsabs=tol, epsrel=tol, limit=200, full_output=1)
-        value, abs_err = out[0], out[1]
-        if len(out) > 3 and abs_err > 100.0 * tol * max(1.0, abs(value)):
-            raise NonConvergenceError(
-                f"Weber integral over [{a}, {b}] did not converge: "
-                f"estimated error {abs_err}"
-            )
-        return value
+        return numerics.integrate(f, a, b, tol=WEBER_TOL).value
 
     if u < 1.0:
         # keep the near-origin growth of x^-2 C(x) in its own panel

@@ -85,8 +85,11 @@ class TestExitCodes:
         (("eigen", "--grid", "0:5:3", "--log"), "QsdError"),
         (("eigen", "--A", "2", "--tol", "0"), "DomainError"),
         (("moments", "--A", "5", "--n-max", "-1"), "DomainError"),
+        (("eigen", "--A", "1e-4"), "DomainError"),
+        (("cdf", "--A", "1e-3", "--grid", "0.0005:0.001:2"), "DomainError"),
     ], ids=["laplace-s-not-a-number", "eigen-log-grid-from-zero",
-            "eigen-tol-zero", "moments-negative-order"])
+            "eigen-tol-zero", "moments-negative-order",
+            "eigen-level-below-range", "cdf-level-below-range"])
     def test_bad_input_is_a_clean_failure(self, capsys, argv, error):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1
@@ -247,6 +250,19 @@ class TestSimulateAndVerify:
 
 
 class TestReproduce:
+    def test_out_dir_below_a_regular_file_is_a_clean_failure(self, capsys,
+                                                              tmp_path):
+        blocker = tmp_path / "plain"
+        blocker.write_text("")
+        target = blocker / "sub"
+        code, out, err = run_cli(capsys, "reproduce", "bounds",
+                                 "--out-dir", str(target))
+        assert code == 1
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "QsdError"
+        assert str(target) in payload["message"]
+
     def test_fig2_moments_decrease_in_n_at_unit_level(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "reproduce", "fig2",
                                "--out-dir", str(tmp_path))

@@ -2,18 +2,22 @@
 critical level where the rate crosses 1/8."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from shiryaev_qsd import eigen
 from shiryaev_qsd.eigen import (
+    A_MAX,
+    A_MIN,
     critical_A,
     eigen_objective,
     lambda_bounds,
     principal_lambda,
     xi_of_lambda,
 )
-from shiryaev_qsd.errors import DomainError
+from shiryaev_qsd.errors import BracketFailure, DomainError
 
 CRITICAL_LEVEL = 10.240465  # level at which the rate equals 1/8
 
@@ -68,6 +72,13 @@ class TestLambdaBounds:
         with pytest.raises(DomainError, match="A must be finite, got inf"):
             principal_lambda(math.inf)
 
+    @pytest.mark.parametrize("A", [0.0049, 1.01e4])
+    def test_level_outside_supported_range_rejected(self, A):
+        with pytest.raises(DomainError, match="A must lie in"):
+            lambda_bounds(A)
+        with pytest.raises(DomainError, match="A must lie in"):
+            principal_lambda(A)
+
 
 class TestPrincipalLambda:
     def test_critical_level_gives_one_eighth(self):
@@ -87,6 +98,19 @@ class TestPrincipalLambda:
             assert lo < sol.lam < hi
             rates.append(sol.lam)
         assert all(a > b for a, b in zip(rates, rates[1:]))
+
+    @pytest.mark.parametrize("A", [A_MIN, A_MAX])
+    def test_range_ends_lie_strictly_inside_the_bounds(self, A):
+        lo, hi = lambda_bounds(A)
+        assert lo < principal_lambda(A).lam < hi
+
+    def test_no_sign_change_in_the_bounds_is_a_bracket_failure(self, monkeypatch):
+        principal_lambda.cache_clear()
+        monkeypatch.setattr(eigen, "eigen_objective", lambda lam, A: 1.0 + lam)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BracketFailure, match="no sign change"):
+                principal_lambda(2.0)
 
     def test_solution_residual_is_tiny(self):
         for A in (0.5, 2.0, 50.0):

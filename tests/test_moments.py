@@ -126,6 +126,13 @@ class TestDispatcher:
             with pytest.raises(DomainError):
                 moment_series(params_for(5.0), -1, m)
 
+    def test_negative_order_rejected_without_the_dispatcher(self, params_for):
+        p = params_for(5.0)
+        for route in (moments_recurrence, moments_quadrature,
+                      moments.ROUTES["2f2"], moments.ROUTES["powerseries"]):
+            with pytest.raises(DomainError):
+                route(p, -1)
+
     def test_series_records_its_method(self, params_for):
         s = moment_series(params_for(5.0), 2, "2f2")
         assert isinstance(s, MomentSeries)
