@@ -89,8 +89,10 @@ class Output:
                 {k: self._jsonify(v) for k, v in record.items()}, indent=2) + "\n")
 
     def _jsonify(self, v):
+        """Floats at --precision; a non-finite float becomes null, as
+        strict JSON has no NaN or Infinity."""
         if isinstance(v, float):
-            return float(fmt(v, self.precision))
+            return float(fmt(v, self.precision)) if math.isfinite(v) else None
         return v
 
 

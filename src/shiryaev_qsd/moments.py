@@ -52,7 +52,7 @@ def moment_2f2(p: QsdParams, n: int) -> float:
     """Closed form 2 lambda A^n / (n(n-1) + 2 lambda) times a terminating
     2F2 polynomial of degree n in 2/A."""
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise DomainError(f"n must be >= 0, got {n}")
     lam, A = p.eigen.lam, p.eigen.A
     half_xi = p.eigen.xi.halved().value
     f = hyp2f2(1.0, -float(n), 1.5 + half_xi - n, 1.5 - half_xi - n, 2.0 / A)
@@ -68,7 +68,7 @@ def moment_powerseries(p: QsdParams, n: int) -> float:
     real arithmetic for both xi branches.
     """
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise DomainError(f"n must be >= 0, got {n}")
     lam, A = p.eigen.lam, p.eigen.A
     t = (1.0 - 8.0 * lam) / 4.0  # (xi/2)^2, real on both branches
 

@@ -24,6 +24,17 @@ from .distribution import QsdParams, qsd_cdf
 from .eigen import lambda_bounds
 from .errors import AllAbsorbedError, ConfigError, MismatchedAError
 
+# conditional-density histogram bins on [0, A]
+BINS = 64
+# time between survival records, and between conditional-law snapshots
+RECORD_DT = 0.1
+SNAPSHOT_DT = 0.5
+# gates of ComparisonReport.passed()
+SUP_TOL = 0.02
+LAMBDA_REL_TOL = 0.05
+# intervals of the analytic cdf table on [0, A]
+CDF_GRID = 2000
+
 
 def default_horizon(A: float) -> float:
     """Twenty expected decay times at the analytic lower bound."""
@@ -38,14 +49,9 @@ class SimConfig:
     horizon: float | None = None  # None -> default_horizon(A)
     paths: int = 200_000
     seed: int = 0
-    bins: int = 64
-    record_dt: float = 0.1
-    snapshot_dt: float = 0.5
-    burn_in: float | None = None  # None -> horizon / 2
 
     def __post_init__(self):
-        if not self.A > 0:
-            raise ConfigError(f"A must be > 0, got {self.A}")
+        lambda_bounds(self.A)  # the supported range of A
         if self.paths < 1:
             raise ConfigError(f"paths must be >= 1, got {self.paths}")
         if not self.dt > 0:
@@ -58,8 +64,6 @@ class SimConfig:
     def resolved_horizon(self) -> float:
         if self.horizon is not None:
             return self.horizon
-        if math.isinf(self.A):
-            raise ConfigError("horizon must be given explicitly when A is infinite")
         return default_horizon(self.A)
 
 
@@ -97,10 +101,10 @@ def simulate(config: SimConfig) -> EmpiricalQsd:
     n_steps = int(round(horizon / dt))
     if n_steps < 1:
         raise ConfigError("horizon shorter than one time step")
-    burn_in = horizon / 2.0 if config.burn_in is None else config.burn_in
+    burn_in = horizon / 2.0
 
-    record_every = max(1, int(round(config.record_dt / dt)))
-    snap_every = max(1, int(round(config.snapshot_dt / dt)))
+    record_every = max(1, int(round(RECORD_DT / dt)))
+    snap_every = max(1, int(round(SNAPSHOT_DT / dt)))
 
     rng = np.random.default_rng(config.seed)
     r = np.full(config.paths, float(config.r0))
@@ -111,8 +115,7 @@ def simulate(config: SimConfig) -> EmpiricalQsd:
     for k in range(1, n_steps + 1):
         r += dt + r * (sqdt * rng.standard_normal(r.size))
         np.clip(r, 0.0, None, out=r)
-        if not math.isinf(A):
-            r = r[r < A]
+        r = r[r < A]
         t = k * dt
         if k % record_every == 0 or k == n_steps:
             times.append(t)
@@ -129,12 +132,11 @@ def simulate(config: SimConfig) -> EmpiricalQsd:
     alive = np.asarray(alive, dtype=float)
     survival = np.column_stack([times, alive / config.paths])
 
-    tail = times >= horizon / 2.0
+    tail = times >= burn_in
     lambda_hat, stderr = _fit_decay(times[tail], alive[tail])
 
     pooled = np.concatenate([snapshots[t] for t in sorted(snapshots)])
-    top = A if not math.isinf(A) else float(pooled.max()) * 1.001
-    edges = np.linspace(0.0, top, config.bins + 1)
+    edges = np.linspace(0.0, A, BINS + 1)
     density, _ = np.histogram(pooled, bins=edges, density=True)
 
     return EmpiricalQsd(
@@ -153,28 +155,27 @@ def simulate(config: SimConfig) -> EmpiricalQsd:
 class ComparisonReport:
     A: float
     sup_distance: float
-    bin_discrepancies: np.ndarray
     lambda_hat: float
     lambda_analytic: float
     lambda_rel_error: float
 
-    def passed(self, sup_tol: float = 0.02, lambda_rel_tol: float = 0.05) -> bool:
-        return (self.sup_distance <= sup_tol
-                and self.lambda_rel_error <= lambda_rel_tol)
+    def passed(self) -> bool:
+        return (self.sup_distance <= SUP_TOL
+                and self.lambda_rel_error <= LAMBDA_REL_TOL)
 
 
-def _cdf_interpolator(p: QsdParams, n_grid: int = 2000):
+def _cdf_interpolator(p: QsdParams):
     """Analytic cdf tabulated on a grid; the cdf is smooth so linear
     interpolation is far below Monte Carlo resolution."""
     A = p.eigen.A
-    xs = np.linspace(0.0, A, n_grid + 1)
+    xs = np.linspace(0.0, A, CDF_GRID + 1)
     cdf = np.array([qsd_cdf(p, x) for x in xs])
     return xs, cdf
 
 
 def compare_to_analytic(emp: EmpiricalQsd, p: QsdParams) -> ComparisonReport:
     """Sup-distance of the empirical conditional cdf from the analytic
-    one, per-bin density discrepancies, and the decay-rate comparison."""
+    one, and the decay-rate comparison."""
     if not math.isclose(emp.A, p.eigen.A, rel_tol=0.0, abs_tol=1e-12):
         raise MismatchedAError(f"empirical A={emp.A} vs analytic A={p.eigen.A}")
 
@@ -185,17 +186,11 @@ def compare_to_analytic(emp: EmpiricalQsd, p: QsdParams) -> ComparisonReport:
     i = np.arange(n)
     sup = float(np.max(np.maximum(np.abs(i / n - f), np.abs((i + 1) / n - f))))
 
-    edge_cdf = np.interp(emp.bin_edges, xs, cdf)
-    widths = np.diff(emp.bin_edges)
-    analytic_density = np.diff(edge_cdf) / widths
-    discrepancies = emp.conditional_density - analytic_density
-
     lam = p.eigen.lam
     rel = abs(emp.lambda_hat - lam) / lam
     return ComparisonReport(
         A=emp.A,
         sup_distance=sup,
-        bin_discrepancies=discrepancies,
         lambda_hat=emp.lambda_hat,
         lambda_analytic=lam,
         lambda_rel_error=rel,

@@ -13,10 +13,12 @@ pure and thread-safe.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
+from mpmath.libmp import NoConvergence
 from scipy.special import ive, kve
 
 from . import numerics
@@ -95,20 +97,24 @@ def as_real(value) -> float:
     return value.real
 
 
-def _order_complex(order) -> complex:
-    """Coerce an OrderParam / real / purely-real-or-imaginary complex."""
-    if isinstance(order, OrderParam):
-        return order.value
-    z = complex(order)
-    if z.real != 0.0 and z.imag != 0.0:
-        raise EvaluationDomainError(f"order must be purely real or imaginary: {z}")
-    return z
-
-
-def _canonical_order(order) -> complex:
+def _canonical_order(order: OrderParam) -> complex:
     """|real part| or i*|imag part|; all consumers are even in the order."""
-    z = _order_complex(order)
+    z = order.value
     return complex(abs(z.real), abs(z.imag))
+
+
+@contextmanager
+def _mpmath_evaluation(what: str, *args):
+    """mpmath at WORK_DPS; its refusal to converge (a ValueError or
+    NoConvergence on arguments already validated) becomes a
+    NonConvergenceError naming ``what`` and ``args``.  The message is
+    built only on failure: this wraps every quadrature node."""
+    try:
+        with mp.workdps(WORK_DPS):
+            yield
+    except (ValueError, NoConvergence) as exc:
+        raise NonConvergenceError(
+            f"{what} at {args} did not converge in mpmath: {exc}") from exc
 
 
 def _is_nonpositive_integer(z) -> bool:
@@ -171,7 +177,7 @@ def hyp2f2(a1, a2, b1, b2, z) -> complex:
         n += 1
 
 
-def whittaker_w(a: float, order, z: float) -> float:
+def whittaker_w(a: float, order: OrderParam, z: float) -> float:
     """Whittaker W function with real first index and a purely real or
     purely imaginary second index; real-valued for z > 0.  Even in the
     second index, which is canonicalized so that negating the order
@@ -179,19 +185,20 @@ def whittaker_w(a: float, order, z: float) -> float:
     if z <= 0:
         raise EvaluationDomainError(f"Whittaker W needs z > 0, got z={z}")
     b = _canonical_order(order)
-    with mp.workdps(WORK_DPS):
+    with _mpmath_evaluation("Whittaker W (a, order, z)", a, b, z):
         return as_real(complex(mp.whitw(float(a), mp.mpc(b), z)))
 
 
-def _bessel_complex(kind: str, order, z: float):
+def _bessel_complex(kind: str, order: OrderParam, z: float):
     if z <= 0:
         raise EvaluationDomainError(f"modified Bessel functions need z > 0, got {z}")
     fn = mp.besseli if kind == "i" else mp.besselk
-    with mp.workdps(WORK_DPS):
-        return complex(fn(mp.mpc(_canonical_order(order)), z))
+    b = _canonical_order(order)
+    with _mpmath_evaluation(f"Bessel {kind.upper()} (order, z)", b, z):
+        return complex(fn(mp.mpc(b), z))
 
 
-def bessel_i(order, z: float) -> float:
+def bessel_i(order: OrderParam, z: float) -> float:
     """Modified Bessel function of the first kind.
 
     For purely imaginary order the real part is returned: it is the even
@@ -202,7 +209,7 @@ def bessel_i(order, z: float) -> float:
     return _bessel_complex("i", order, z).real
 
 
-def bessel_k(order, z: float) -> float:
+def bessel_k(order: OrderParam, z: float) -> float:
     """MacDonald function; real for real z > 0 and real or purely
     imaginary order, and even in the order (canonicalized)."""
     return as_real(_bessel_complex("k", order, z))
@@ -302,11 +309,12 @@ def _weber_integrand_imag(kind: str, level: float, nu_mag: float):
     nu = mp.mpc(0.0, nu_mag)
     shift = math.pi * nu_mag / 2.0 if kind == "K" else -math.pi * nu_mag / 2.0
     fn = mp.besseli if kind == "I" else mp.besselk
+    what = f"Weber {kind} integrand (order, level, x)"
 
     def f(x):
         # the Gaussian damping and the scale shift are applied before
         # leaving mpmath so no intermediate overflows float
-        with mp.workdps(WORK_DPS):
+        with _mpmath_evaluation(what, 1j * nu_mag, level, x):
             c = fn(nu, x) * mp.exp(shift - level * x * x / 8.0) / (x * x)
             c = complex(c)
         # K of imaginary order is real; for I the real part is the even
@@ -316,7 +324,7 @@ def _weber_integrand_imag(kind: str, level: float, nu_mag: float):
     return f, math.exp(-shift)
 
 
-def weber_incomplete(kind: str, u: float, level: float, order) -> float:
+def weber_incomplete(kind: str, u: float, level: float, order: OrderParam) -> float:
     """Incomplete Weber integral int_u^inf exp(-level x^2/8) C(x) x^-2 dx
     with C the modified Bessel I or K function of the given order.
 
@@ -327,7 +335,7 @@ def weber_incomplete(kind: str, u: float, level: float, order) -> float:
         raise ValueError("kind must be 'I' or 'K'")
     if u <= 0:
         raise DivergenceError("incomplete Weber integrals diverge at u <= 0")
-    z = _order_complex(order)
+    z = order.value
     if z.imag != 0.0:
         f, unscale = _weber_integrand_imag(kind, level, abs(z.imag))
     else:

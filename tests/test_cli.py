@@ -87,9 +87,14 @@ class TestExitCodes:
         (("moments", "--A", "5", "--n-max", "-1"), "DomainError"),
         (("eigen", "--A", "1e-4"), "DomainError"),
         (("cdf", "--A", "1e-3", "--grid", "0.0005:0.001:2"), "DomainError"),
+        (("simulate", "--A", "inf", "--horizon", "1"), "DomainError"),
+        (("simulate", "--A", "2e4", "--horizon", "1"), "DomainError"),
+        (("simulate", "--A", "1e-3", "--horizon", "1"), "DomainError"),
     ], ids=["laplace-s-not-a-number", "eigen-log-grid-from-zero",
             "eigen-tol-zero", "moments-negative-order",
-            "eigen-level-below-range", "cdf-level-below-range"])
+            "eigen-level-below-range", "cdf-level-below-range",
+            "simulate-infinite-level", "simulate-level-above-range",
+            "simulate-level-below-range"])
     def test_bad_input_is_a_clean_failure(self, capsys, argv, error):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1
@@ -201,6 +206,21 @@ class TestMomentsAndLaplaceCommands:
         assert code == 1
         assert out == ""
         assert json.loads(err)["error"] == "DomainError"
+
+    def test_json_output_is_strict(self, capsys):
+        # at sA = 800 the three series routes refuse (at once: they need
+        # more working digits than allowed); their cells are null, never
+        # the NaN token that strict parsers reject
+        def no_constants(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        code, out, _ = run_cli(capsys, "laplace", "--A", "20", "--s", "40",
+                               "--format", "json")
+        assert code == 0
+        [row] = json.loads(out, parse_constant=no_constants)
+        assert row["kdf1"] is None and row["kdf2"] is None
+        assert row["moments"] is None
+        assert row["bessel"] > 0 and row["quadrature"] > 0
 
     def test_limit_check_needs_scalar_s(self, capsys):
         code, _, err = run_cli(capsys, "laplace", "--s", "0.1:5:3", "--limit-check")

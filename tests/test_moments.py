@@ -56,7 +56,7 @@ class Test2F2Form:
             assert moment_2f2(p, n) == pytest.approx(rec[n], rel=1e-10)
 
     def test_rejects_negative_order(self, params_for):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             moment_2f2(params_for(5.0), -1)
 
 
@@ -129,7 +129,8 @@ class TestDispatcher:
     def test_negative_order_rejected_without_the_dispatcher(self, params_for):
         p = params_for(5.0)
         for route in (moments_recurrence, moments_quadrature,
-                      moments.ROUTES["2f2"], moments.ROUTES["powerseries"]):
+                      moments.ROUTES["2f2"], moments.ROUTES["powerseries"],
+                      moment_2f2, moment_powerseries):
             with pytest.raises(DomainError):
                 route(p, -1)
 

@@ -6,6 +6,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from mpmath.libmp import NoConvergence
 from scipy.integrate import quad
 from scipy.special import ive, kv
 
@@ -259,9 +260,33 @@ class TestBessel:
         with pytest.raises(EvaluationDomainError):
             bessel_k(OrderParam.real(0.5), -1.0)
 
-    def test_mixed_complex_order_rejected(self):
-        with pytest.raises(EvaluationDomainError):
-            bessel_k(1.0 + 0.5j, 2.0)
+
+class TestMpmathFailures:
+    """mpmath's refusals on validated arguments end as NonConvergenceError,
+    with mpmath's exception kept as the cause."""
+
+    @staticmethod
+    def _raise(exc):
+        def fail(*args, **kwargs):
+            raise exc
+        return fail
+
+    def test_whittaker_value_error(self, monkeypatch):
+        monkeypatch.setattr(mp, "whitw", self._raise(ValueError("hypercomb")))
+        with pytest.raises(NonConvergenceError, match="Whittaker W") as info:
+            whittaker_w(1.0, OrderParam.imaginary(0.7), 1.0)
+        assert isinstance(info.value.__cause__, ValueError)
+
+    def test_bessel_no_convergence(self, monkeypatch):
+        monkeypatch.setattr(mp, "besselk", self._raise(NoConvergence("besselk")))
+        with pytest.raises(NonConvergenceError, match="Bessel K") as info:
+            bessel_k(OrderParam.real(0.5), 2.0)
+        assert isinstance(info.value.__cause__, NoConvergence)
+
+    def test_imaginary_order_weber_integrand(self, monkeypatch):
+        monkeypatch.setattr(mp, "besselk", self._raise(ValueError("hypercomb")))
+        with pytest.raises(NonConvergenceError, match="Weber K integrand"):
+            weber_incomplete("K", 2.0, 2.0, OrderParam.imaginary(0.5))
 
 
 def _kampe_brute(a1, a2, b1, b2, u, v, n=200):
