@@ -8,9 +8,9 @@ lambda <= 1/8 and purely imaginary for lambda > 1/8.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import numerics
 from .errors import BracketFailure, DomainError
@@ -28,7 +28,8 @@ A_MAX = 1e4
 SCAN_POINTS = 48
 
 # residual scale guard: |W| at the root must be tiny relative to the
-# objective's size near the bracket endpoints
+# largest |W| over the scanned grid points, from the lower bound up to
+# the bracket's upper end (never more than over the whole grid)
 RESIDUAL_REL = 1e-9
 
 
@@ -69,8 +70,10 @@ def lambda_bounds(A: float) -> tuple[float, float]:
 
 
 def _check_tol(tol):
-    if not tol > 0:
-        raise DomainError(f"tol must be > 0, got {tol}")
+    # tol is relative; from 1 up (and at inf) Brent's method can stop at
+    # a bracket end and report it as the root
+    if not 0 < tol < 1:
+        raise DomainError(f"tol must lie in (0, 1), got {tol}")
 
 
 def eigen_objective(lam: float, A: float) -> float:
@@ -78,7 +81,7 @@ def eigen_objective(lam: float, A: float) -> float:
     return whittaker_w(1.0, xi_of_lambda(lam).halved(), 2.0 / A)
 
 
-@lru_cache(maxsize=512)
+@functools.lru_cache(maxsize=512)
 def principal_lambda(A: float, tol: float = DEFAULT_TOL) -> EigenSolution:
     """Smallest positive eigenvalue lambda_A for absorption level A.
 
@@ -91,16 +94,17 @@ def principal_lambda(A: float, tol: float = DEFAULT_TOL) -> EigenSolution:
     A = float(A)
     lo, hi = lambda_bounds(A)
 
-    def f(lam):
-        return eigen_objective(lam, A)
+    # one W evaluation per distinct lambda: Brent's method re-evaluates
+    # the bracket ends and the residual re-evaluates the root
+    f = functools.cache(lambda lam: eigen_objective(lam, A))
 
     # the bounds interval can contain higher eigenvalues too (their
-    # spacing shrinks relative to the interval for small A), so find
-    # the FIRST sign change rather than trusting the endpoints
+    # spacing shrinks relative to the interval for small A), so walk up
+    # from the lower bound to the FIRST sign change rather than trusting
+    # the endpoints; grid points above it are never evaluated
     grid = [lo + k * (hi - lo) / SCAN_POINTS for k in range(SCAN_POINTS + 1)]
-    vals = [f(x) for x in grid]
-    scan_scale = max(abs(v) for v in vals)
-    for b_lo, b_hi, f_lo, f_hi in zip(grid, grid[1:], vals, vals[1:]):
+    for b_lo, b_hi in zip(grid, grid[1:]):
+        f_lo, f_hi = f(b_lo), f(b_hi)
         if f_lo == 0.0 or f_lo * f_hi < 0:
             break
     else:
@@ -126,6 +130,7 @@ def principal_lambda(A: float, tol: float = DEFAULT_TOL) -> EigenSolution:
         bracket = numerics.Bracket(b_lo, b_hi, f_lo, f_hi)
         lam = numerics.find_root(f, bracket, tol=tol * max(abs(b_hi), 1e-3))
     residual = abs(f(lam))
+    scan_scale = max(abs(f(x)) for x in grid if x <= b_hi)
     if residual > RESIDUAL_REL * scan_scale:
         raise BracketFailure(
             f"eigenvalue residual {residual} too large at A={A} "
@@ -138,9 +143,7 @@ def critical_A(tol: float = DEFAULT_TOL) -> float:
     """Absorption level at which lambda_A = 1/8 (the xi = 0 borderline),
     i.e. the root of W_{1,0}(2/A) = 0, bracketed in [5, 20]."""
     _check_tol(tol)
-
-    def f(A):
-        return whittaker_w(1.0, OrderParam.real(0.0), 2.0 / A)
-
+    # bracket_from evaluates the ends and Brent's method evaluates them again
+    f = functools.cache(lambda A: whittaker_w(1.0, OrderParam.real(0.0), 2.0 / A))
     bracket = numerics.bracket_from(f, 5.0, 20.0)
     return numerics.find_root(f, bracket, tol=tol)

@@ -90,11 +90,14 @@ class TestExitCodes:
         (("simulate", "--A", "inf", "--horizon", "1"), "DomainError"),
         (("simulate", "--A", "2e4", "--horizon", "1"), "DomainError"),
         (("simulate", "--A", "1e-3", "--horizon", "1"), "DomainError"),
+        (("critical-a", "--tol", "inf"), "DomainError"),
+        (("eigen", "--A", "2", "--tol", "inf"), "DomainError"),
     ], ids=["laplace-s-not-a-number", "eigen-log-grid-from-zero",
             "eigen-tol-zero", "moments-negative-order",
             "eigen-level-below-range", "cdf-level-below-range",
             "simulate-infinite-level", "simulate-level-above-range",
-            "simulate-level-below-range"])
+            "simulate-level-below-range", "critical-a-tol-inf",
+            "eigen-tol-inf"])
     def test_bad_input_is_a_clean_failure(self, capsys, argv, error):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1

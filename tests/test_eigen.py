@@ -6,8 +6,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from shiryaev_qsd import eigen
+from shiryaev_qsd import eigen, numerics
 from shiryaev_qsd.eigen import (
     A_MAX,
     A_MIN,
@@ -20,6 +22,55 @@ from shiryaev_qsd.eigen import (
 from shiryaev_qsd.errors import BracketFailure, DomainError
 
 CRITICAL_LEVEL = 10.240465  # level at which the rate equals 1/8
+
+
+def scan_grid(A):
+    lo, hi = lambda_bounds(A)
+    n = eigen.SCAN_POINTS
+    return [lo + k * (hi - lo) / n for k in range(n + 1)]
+
+
+def full_scan_lambda(A, tol=eigen.DEFAULT_TOL):
+    """Reference solver: every grid point of the bounds scan is evaluated
+    and the residual is judged against the largest |W| over the whole
+    grid.  Returns (lam, residual, xi)."""
+    def f(lam):
+        return eigen_objective(lam, A)
+
+    grid = scan_grid(A)
+    lo = grid[0]
+    vals = [f(x) for x in grid]
+    for b_lo, b_hi, f_lo, f_hi in zip(grid, grid[1:], vals, vals[1:]):
+        if f_lo == 0.0 or f_lo * f_hi < 0:
+            break
+    else:
+        raise AssertionError(f"no sign change in the bounds at A={A}")
+    guard = [f(lo / 4.0 + k * (lo - lo / 4.0) / 8.0) for k in range(9)]
+    assert all(g0 * g1 >= 0 for g0, g1 in zip(guard, guard[1:]))
+    if f_lo == 0.0:
+        lam = b_lo
+    else:
+        bracket = numerics.Bracket(b_lo, b_hi, f_lo, f_hi)
+        lam = numerics.find_root(f, bracket, tol=tol * max(abs(b_hi), 1e-3))
+    residual = abs(f(lam))
+    assert residual <= eigen.RESIDUAL_REL * max(abs(v) for v in vals)
+    return lam, residual, xi_of_lambda(lam)
+
+
+def assert_bitwise_equal_to_full_scan(A):
+    sol = principal_lambda(A)
+    lam, residual, xi = full_scan_lambda(A)
+    assert sol.lam.hex() == lam.hex()
+    assert sol.residual.hex() == residual.hex()
+    assert sol.xi.kind == xi.kind
+    assert sol.xi.magnitude.hex() == xi.magnitude.hex()
+
+
+def counting(fn, calls):
+    def wrapped(*args):
+        calls.append(args)
+        return fn(*args)
+    return wrapped
 
 
 class TestXiOfLambda:
@@ -128,12 +179,36 @@ class TestPrincipalLambda:
         assert a is b  # cached
         assert a.lam == b.lam
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan])
+    @pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan, math.inf, 1.0, 1e300])
     def test_nonpositive_tolerance_rejected(self, tol):
         with pytest.raises(DomainError):
             principal_lambda(2.0, tol)
         with pytest.raises(DomainError):
             critical_A(tol)
+
+    @pytest.mark.parametrize("A", [A_MIN, 0.05, 2.0, CRITICAL_LEVEL, 20.0, 500.0, A_MAX])
+    def test_bitwise_equal_to_the_full_scan(self, A):
+        assert_bitwise_equal_to_full_scan(A)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(st.floats(math.log(A_MIN), math.log(A_MAX)).map(
+        lambda t: min(max(math.exp(t), A_MIN), A_MAX)))
+    def test_bitwise_equal_to_the_full_scan_over_the_range(self, A):
+        assert_bitwise_equal_to_full_scan(A)
+
+    @pytest.mark.parametrize("A", [2.0, 500.0])
+    def test_scan_stops_at_the_bracket_and_evaluates_each_lambda_once(
+            self, A, monkeypatch):
+        calls = []
+        principal_lambda.cache_clear()
+        monkeypatch.setattr(eigen, "eigen_objective", counting(eigen_objective, calls))
+        sol = principal_lambda(A)
+        lams = [lam for lam, _ in calls]
+        assert len(lams) == len(set(lams))
+        grid = scan_grid(A)
+        b_hi = min(x for x in grid if x > sol.lam)
+        assert max(lams) == b_hi
+        assert b_hi < grid[-1]
 
 
 
@@ -143,6 +218,13 @@ class TestCriticalA:
 
     def test_rate_at_critical_level_is_one_eighth(self):
         assert principal_lambda(critical_A()).lam == pytest.approx(0.125, abs=1e-6)
+
+    def test_each_level_is_evaluated_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(eigen, "whittaker_w", counting(eigen.whittaker_w, calls))
+        assert critical_A() == 10.240465439105003
+        levels = [z for _, _, z in calls]
+        assert len(levels) == len(set(levels))
 
     def test_xi_nearly_vanishes_there(self):
         assert abs(principal_lambda(critical_A()).xi.magnitude) <= 1e-2
