@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from . import distribution, eigen, laplace, moments
+from . import distribution, eigen, laplace, moments, specfun
 from .errors import QsdError
 from .simulate import SimConfig, compare_to_analytic, simulate
 
@@ -125,19 +125,24 @@ def _params(A):
 def laplace_row(p, s, methods):
     """The named routes' values at s, their max relative spread and the
     bessel route's ODE residual.  A refusing route gives NaN; when every
-    route refuses, the first refusal is raised."""
+    route refuses, the first refusal is raised.  The residual reuses the
+    row's bessel value at s when there is one."""
     vals, refusals = [], []
-    for m in methods:
-        try:
-            vals.append(laplace.evaluate(p, s, m).value)
-        except QsdError as exc:
-            vals.append(math.nan)
-            refusals.append(exc)
-    if len(refusals) == len(methods):
-        raise refusals[0]
-    ok = [v for v in vals if not math.isnan(v)]
-    spread = moments.max_rel_spread(ok) if len(ok) > 1 else 0.0
-    resid = laplace.ode_residual(p, s, method="bessel") if s > 0 else 0.0
+    with specfun.gamma_memo():
+        for m in methods:
+            try:
+                vals.append(laplace.evaluate(p, s, m).value)
+            except QsdError as exc:
+                vals.append(math.nan)
+                refusals.append(exc)
+        if len(refusals) == len(methods):
+            raise refusals[0]
+        ok = [v for v in vals if not math.isnan(v)]
+        spread = moments.max_rel_spread(ok) if len(ok) > 1 else 0.0
+        L_s = dict(zip(methods, vals)).get("bessel", math.nan)
+        resid = (laplace.ode_residual(p, s, method="bessel",
+                                      L_s=None if math.isnan(L_s) else L_s)
+                 if s > 0 else 0.0)
     return vals + [spread, resid]
 
 
@@ -171,7 +176,8 @@ def cmd_critical_a(args, out: Output):
 def _dist_rows(args, fn):
     p = _params(args.A)
     xs = parse_grid(args.grid)
-    return [[float(x), fn(p, float(x))] for x in xs]
+    with specfun.gamma_memo():
+        return [[float(x), fn(p, float(x))] for x in xs]
 
 
 def cmd_pdf(args, out: Output):
@@ -343,7 +349,9 @@ def build_parser():
     level.add_argument("--A", type=float)
     level.add_argument("--grid", help="lo:hi:n sweep over A")
     sp.add_argument("--log", action="store_true", help="log-space the sweep")
-    sp.add_argument("--tol", type=float, default=eigen.DEFAULT_TOL)
+    sp.add_argument("--tol", type=float, default=eigen.DEFAULT_TOL,
+                    help="relative root tolerance in (0, %(default)g]; a looser "
+                         "one is refused")
     common(sp)
     sp.set_defaults(run=cmd_eigen, format="json")
 

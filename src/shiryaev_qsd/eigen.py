@@ -91,6 +91,12 @@ def principal_lambda(A: float, tol: float = DEFAULT_TOL) -> EigenSolution:
     smaller root.
     """
     _check_tol(tol)
+    if tol > DEFAULT_TOL:
+        # the residual guard needs the root to about this tolerance; a
+        # looser one would end in a BracketFailure that reads like a
+        # special-function defect
+        raise DomainError(f"tol must be <= {DEFAULT_TOL:g} for an eigenvalue, "
+                          f"got {tol}")
     A = float(A)
     lo, hi = lambda_bounds(A)
 

@@ -18,13 +18,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath as mp
 from scipy.special import kv
 
 from . import numerics, specfun
 from .distribution import QsdParams, qsd_pdf
 from .errors import DomainError, NonConvergenceError
-from .specfun import bessel_i, bessel_k, kampe_de_feriet, weber_incomplete
+from .specfun import MP, bessel_i, bessel_k, kampe_de_feriet, weber_incomplete
 
 # below this s the lambda/s prefactor route switches to the series route
 KDF2_S_FLOOR = 1e-8
@@ -50,8 +49,9 @@ def laplace_quadrature(p: QsdParams, s: float) -> LaplaceEval:
     """Direct integral of e^{-sx} against the closed-form pdf."""
     _check_s(s)
     A = p.eigen.A
-    res = numerics.integrate(lambda x: math.exp(-s * x) * qsd_pdf(p, x), 0.0, A,
-                             tol=QUADRATURE_TOL)
+    with specfun.gamma_memo():
+        res = numerics.integrate(lambda x: math.exp(-s * x) * qsd_pdf(p, x), 0.0, A,
+                                 tol=QUADRATURE_TOL)
     return LaplaceEval(s, A, res.value, "quadrature")
 
 
@@ -65,12 +65,12 @@ def laplace_moment_series(p: QsdParams, s: float) -> LaplaceEval:
         return LaplaceEval(s, A, 1.0, "moments")
     peak = s * A / math.log(10.0)
     dps = specfun.series_dps(peak, f"moment series at s={s}, A={A}")
-    with mp.workdps(dps):
-        lam_m, A_m, s_m = mp.mpf(lam), mp.mpf(A), mp.mpf(s)
-        tol = mp.mpf(specfun.SERIES_REL_TOL)
-        total = mp.mpf(0)
-        moment = mp.mpf(1)
-        coeff = mp.mpf(1)  # (-s)^n / n!
+    with MP.workdps(dps):
+        lam_m, A_m, s_m = MP.mpf(lam), MP.mpf(A), MP.mpf(s)
+        tol = MP.mpf(specfun.SERIES_REL_TOL)
+        total = MP.mpf(0)
+        moment = MP.mpf(1)
+        coeff = MP.mpf(1)  # (-s)^n / n!
         n = 0
         small = 0
         while True:
@@ -128,10 +128,11 @@ def laplace_bessel(p: QsdParams, s: float) -> LaplaceEval:
     if s == 0.0:
         return LaplaceEval(s, A, 1.0, "bessel")
     u = 2.0 * math.sqrt(2.0 * s)
-    ki = bessel_k(xi, u)
-    ii = bessel_i(xi, u)
-    w_i = weber_incomplete("I", u, A, xi)
-    w_k = weber_incomplete("K", u, A, xi)
+    with specfun.gamma_memo():
+        ki = bessel_k(xi, u)
+        ii = bessel_i(xi, u)
+        w_i = weber_incomplete("I", u, A, xi)
+        w_k = weber_incomplete("K", u, A, xi)
     value = u * ki / p.normalizer + 8.0 * lam * (u * ki * w_i - u * ii * w_k)
     return LaplaceEval(s, A, value, "bessel")
 
@@ -163,13 +164,16 @@ def evaluate(p: QsdParams, s: float, method: str) -> LaplaceEval:
     return ROUTES[method](p, s)
 
 
-def ode_residual(p: QsdParams, s: float, method: str = "bessel") -> float:
+def ode_residual(p: QsdParams, s: float, method: str = "bessel", *,
+                 L_s: float | None = None) -> float:
     """(s^2/2) L'' - (s - lambda) L - lambda e^{-sA} with L'' from
     central differences (one Richardson level) of the chosen route.
 
     The route is evaluated once at each of the five points s, s +- h/2
     and s +- h, with step h = 1e-4 max(1, s); L(s) serves both second
-    differences and the residual.
+    differences and the residual.  ``L_s``, when given, is taken as the
+    route's value at s, which a caller that already has it passes to save
+    that evaluation.
     """
     if s <= 0:
         raise DomainError(f"ODE residual needs s > 0, got {s}")
@@ -178,11 +182,12 @@ def ode_residual(p: QsdParams, s: float, method: str = "bessel") -> float:
     def L(x):
         return evaluate(p, x, method).value
 
-    L_s = L(s)
-
     def second(hh):
         return (L(s - hh) - 2.0 * L_s + L(s + hh)) / (hh * hh)
 
-    d2 = (4.0 * second(h / 2.0) - second(h)) / 3.0
+    with specfun.gamma_memo():
+        if L_s is None:
+            L_s = L(s)
+        d2 = (4.0 * second(h / 2.0) - second(h)) / 3.0
     lam, A = p.eigen.lam, p.eigen.A
     return (s * s / 2.0) * d2 - (s - lam) * L_s - lam * math.exp(-s * A)

@@ -16,7 +16,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from . import numerics
+from . import numerics, specfun
 from .distribution import QsdParams, qsd_pdf
 from .errors import DomainError
 from .specfun import as_real, hyp2f2
@@ -97,9 +97,11 @@ def moments_quadrature(p: QsdParams, n_max: int) -> MomentSeries:
     A = p.eigen.A
     pdf = functools.cache(lambda x: qsd_pdf(p, x))
     vals = []
-    for n in range(n_max + 1):
-        res = numerics.integrate(lambda x: x**n * pdf(x), 0.0, A, tol=QUADRATURE_TOL)
-        vals.append(res.value)
+    with specfun.gamma_memo():
+        for n in range(n_max + 1):
+            res = numerics.integrate(lambda x: x**n * pdf(x), 0.0, A,
+                                     tol=QUADRATURE_TOL)
+            vals.append(res.value)
     return MomentSeries(p, n_max, tuple(vals), "quadrature")
 
 

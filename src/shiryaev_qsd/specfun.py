@@ -6,18 +6,27 @@ integrals.
 Whittaker and Bessel evaluations are delegated to mpmath (arbitrary
 precision, complex indices, automatic handling of the logarithmic case
 when the order parameter degenerates); everything is collapsed back to
-float with an explicit imaginary-residue check.  All functions here are
-pure and thread-safe.
+float with an explicit imaginary-residue check.
+
+Every mpmath call goes through the package-private context ``MP``, never
+mpmath's global ``mp``.  Its Gamma and 1/Gamma reuse values inside a
+``gamma_memo()`` block: mpmath's closed forms multiply each series by
+Gamma factors that depend on the order and the precision but not on the
+argument, so one order evaluated at many points recomputes the same few
+values.  The functions here are not thread-safe: ``MP.workdps`` sets the
+precision of the one shared context.  The memo itself is per thread (a
+``ContextVar``), and exists only while a block is open.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
+from mpmath.ctx_mp import MPContext
 from mpmath.libmp import NoConvergence
 from scipy.special import ive, kve
 
@@ -45,6 +54,60 @@ MAX_SERIES_DPS = 350
 
 # absolute and relative tolerance of each incomplete Weber panel
 WEBER_TOL = 1e-11
+
+
+# the open gamma_memo() block's values, keyed by (function, argument,
+# prec, rounding); None outside any block
+_GAMMA_MEMO = contextvars.ContextVar("gamma_memo", default=None)
+
+
+class _GammaMemoContext(MPContext):
+    """An mpmath context whose gamma and rgamma answer a repeated call
+    from the open gamma_memo() block.
+
+    Gamma is a deterministic function of its argument, the precision and
+    the rounding, so a reused value is bitwise the one mpmath would
+    compute again.  A call with keyword arguments, a call outside any
+    block, and a call that raises go straight to mpmath; an exception is
+    never stored.  ``unmemoised`` holds mpmath's own functions.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.unmemoised = {"gamma": self.gamma, "rgamma": self.rgamma}
+        self.gamma = self._memoised("gamma")
+        self.rgamma = self._memoised("rgamma")
+
+    def _memoised(self, name):
+        def fn(x, **kwargs):
+            memo = _GAMMA_MEMO.get()
+            if memo is None or kwargs:
+                return self.unmemoised[name](x, **kwargs)
+            x = self.convert(x)
+            arg = x._mpf_ if hasattr(x, "_mpf_") else x._mpc_
+            key = (name, arg, *self._prec_rounding)
+            value = memo.get(key)
+            if value is None:
+                value = memo[key] = self.unmemoised[name](x)
+            return value
+        return fn
+
+
+MP = _GammaMemoContext()
+
+
+@contextmanager
+def gamma_memo():
+    """Reuse MP's Gamma and 1/Gamma values until the outermost block
+    exits; a nested block shares the outer block's values."""
+    if _GAMMA_MEMO.get() is not None:
+        yield
+        return
+    token = _GAMMA_MEMO.set({})
+    try:
+        yield
+    finally:
+        _GAMMA_MEMO.reset(token)
 
 
 @dataclass(frozen=True)
@@ -110,7 +173,7 @@ def _mpmath_evaluation(what: str, *args):
     NonConvergenceError naming ``what`` and ``args``.  The message is
     built only on failure: this wraps every quadrature node."""
     try:
-        with mp.workdps(WORK_DPS):
+        with MP.workdps(WORK_DPS):
             yield
     except (ValueError, NoConvergence) as exc:
         raise NonConvergenceError(
@@ -186,16 +249,16 @@ def whittaker_w(a: float, order: OrderParam, z: float) -> float:
         raise EvaluationDomainError(f"Whittaker W needs z > 0, got z={z}")
     b = _canonical_order(order)
     with _mpmath_evaluation("Whittaker W (a, order, z)", a, b, z):
-        return as_real(complex(mp.whitw(float(a), mp.mpc(b), z)))
+        return as_real(complex(MP.whitw(float(a), MP.mpc(b), z)))
 
 
 def _bessel_complex(kind: str, order: OrderParam, z: float):
     if z <= 0:
         raise EvaluationDomainError(f"modified Bessel functions need z > 0, got {z}")
-    fn = mp.besseli if kind == "i" else mp.besselk
+    fn = MP.besseli if kind == "i" else MP.besselk
     b = _canonical_order(order)
     with _mpmath_evaluation(f"Bessel {kind.upper()} (order, z)", b, z):
-        return complex(fn(mp.mpc(b), z))
+        return complex(fn(MP.mpc(b), z))
 
 
 def bessel_i(order: OrderParam, z: float) -> float:
@@ -235,24 +298,25 @@ def kampe_de_feriet(a1, a2, b1, b2, u: float, v: float) -> float:
     peak = (abs(u) + 2.0 * math.sqrt(abs(v))) / math.log(10.0)
     dps = series_dps(peak, f"double series at u={u}, v={v}")
 
-    with mp.workdps(dps):
-        a1m, a2m, b1m, b2m = (mp.mpmathify(complex(t)) for t in (a1, a2, b1, b2))
-        um, vm = mp.mpf(u), mp.mpf(v)
-        tol = mp.mpf(SERIES_REL_TOL)
+    # rf goes through gammaprod: Gamma(b) is the same in every row
+    with MP.workdps(dps), gamma_memo():
+        a1m, a2m, b1m, b2m = (MP.mpmathify(complex(t)) for t in (a1, a2, b1, b2))
+        um, vm = MP.mpf(u), MP.mpf(v)
+        tol = MP.mpf(SERIES_REL_TOL)
         # rows near the peak exceed the final sum by ~exp(|u|), so any
         # truncation residue left inside a row survives the cancellation;
         # inner sums therefore run to working precision, not to rel_tol
-        inner_tol = mp.mpf(10) ** (5 - dps)
-        total = mp.mpc(0)
-        row_coef = mp.mpc(1)  # (a1)_i (a2)_i u^i / i!
+        inner_tol = MP.mpf(10) ** (5 - dps)
+        total = MP.mpc(0)
+        row_coef = MP.mpc(1)  # (a1)_i (a2)_i u^i / i!
         terms_used = 0
         row_small = 0
         i = 0
         while True:
             # inner sum over j at fixed i, Pochhammers advanced in place
-            denom = mp.rf(b1m, i) * mp.rf(b2m, i)
+            denom = MP.rf(b1m, i) * MP.rf(b2m, i)
             term = 1 / denom
-            inner = mp.mpc(0)
+            inner = MP.mpc(0)
             small = 0
             j = 0
             while True:
@@ -279,7 +343,7 @@ def kampe_de_feriet(a1, a2, b1, b2, u: float, v: float) -> float:
             # regime, so small rows are only trusted past the peak at
             # i ~ |u|, and only three in a row (sign flips give isolated
             # near-zero dips)
-            if i > abs(u) and abs(row) <= tol * (abs(total) + mp.mpf("1e-300")):
+            if i > abs(u) and abs(row) <= tol * (abs(total) + MP.mpf("1e-300")):
                 row_small += 1
                 if row_small >= 3:
                     break
@@ -306,16 +370,16 @@ def _weber_integrand_imag(kind: str, level: float, nu_mag: float):
     still).  Scaling by e^{+-pi nu/2} makes the integrand O(1) and turns
     the absolute tolerance into an effectively relative one.
     """
-    nu = mp.mpc(0.0, nu_mag)
+    nu = MP.mpc(0.0, nu_mag)
     shift = math.pi * nu_mag / 2.0 if kind == "K" else -math.pi * nu_mag / 2.0
-    fn = mp.besseli if kind == "I" else mp.besselk
+    fn = MP.besseli if kind == "I" else MP.besselk
     what = f"Weber {kind} integrand (order, level, x)"
 
     def f(x):
         # the Gaussian damping and the scale shift are applied before
         # leaving mpmath so no intermediate overflows float
         with _mpmath_evaluation(what, 1j * nu_mag, level, x):
-            c = fn(nu, x) * mp.exp(shift - level * x * x / 8.0) / (x * x)
+            c = fn(nu, x) * MP.exp(shift - level * x * x / 8.0) / (x * x)
             c = complex(c)
         # K of imaginary order is real; for I the real part is the even
         # real solution used throughout

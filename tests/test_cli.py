@@ -8,7 +8,8 @@ import json
 
 import pytest
 
-from shiryaev_qsd.cli import build_parser, fmt, parse_grid, run
+from shiryaev_qsd import laplace
+from shiryaev_qsd.cli import _params, build_parser, fmt, laplace_row, parse_grid, run
 from shiryaev_qsd.errors import QsdError
 
 
@@ -92,12 +93,13 @@ class TestExitCodes:
         (("simulate", "--A", "1e-3", "--horizon", "1"), "DomainError"),
         (("critical-a", "--tol", "inf"), "DomainError"),
         (("eigen", "--A", "2", "--tol", "inf"), "DomainError"),
+        (("eigen", "--A", "2", "--tol", "1e-3"), "DomainError"),
     ], ids=["laplace-s-not-a-number", "eigen-log-grid-from-zero",
             "eigen-tol-zero", "moments-negative-order",
             "eigen-level-below-range", "cdf-level-below-range",
             "simulate-infinite-level", "simulate-level-above-range",
             "simulate-level-below-range", "critical-a-tol-inf",
-            "eigen-tol-inf"])
+            "eigen-tol-inf", "eigen-tol-above-default"])
     def test_bad_input_is_a_clean_failure(self, capsys, argv, error):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1
@@ -310,6 +312,22 @@ class TestReproduce:
         uniform = [m for a, m in zip(As, m1) if a >= 1.0]
         slopes = [b - a for a, b in zip(uniform, uniform[1:])]
         assert all(s1 >= s2 - 1e-12 for s1, s2 in zip(slopes, slopes[1:]))
+
+    def test_laplace_table_row_evaluates_bessel_five_times(self, monkeypatch):
+        # one value at s for the row, four more for the residual's second
+        # differences; the residual is bitwise the one computed afresh
+        p, s = _params(20.0), 1.0
+        bessel, calls = laplace.ROUTES["bessel"], []
+
+        def counting(p_, s_):
+            calls.append(s_)
+            return bessel(p_, s_)
+
+        monkeypatch.setitem(laplace.ROUTES, "bessel", counting)
+        row = laplace_row(p, s, laplace.METHODS)
+        assert len(calls) == 5
+        assert len(set(calls)) == 5
+        assert row[-1] == laplace.ode_residual(p, s)
 
     def test_bounds_table(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "reproduce", "bounds",

@@ -186,6 +186,14 @@ class TestPrincipalLambda:
         with pytest.raises(DomainError):
             critical_A(tol)
 
+    @pytest.mark.parametrize("tol", [1e-11, 1e-3])
+    def test_tolerance_looser_than_the_default_rejected(self, tol):
+        # the residual guard cannot be met at such a tolerance; critical_A
+        # has no guard and keeps (0, 1)
+        with pytest.raises(DomainError, match="tol must be <= 1e-12"):
+            principal_lambda(2.0, tol)
+        assert critical_A(tol) == pytest.approx(critical_A(), abs=4 * tol)
+
     @pytest.mark.parametrize("A", [A_MIN, 0.05, 2.0, CRITICAL_LEVEL, 20.0, 500.0, A_MAX])
     def test_bitwise_equal_to_the_full_scan(self, A):
         assert_bitwise_equal_to_full_scan(A)

@@ -1,6 +1,7 @@
 """Special-function layer: values against independent oracles, classical
-identities, and the error contracts."""
+identities, the error contracts, and the Gamma memo."""
 
+import contextlib
 import math
 
 import mpmath as mp
@@ -17,7 +18,7 @@ from shiryaev_qsd.errors import (
     ImaginaryResidueError,
     NonConvergenceError,
 )
-from shiryaev_qsd import specfun
+from shiryaev_qsd import distribution, eigen, laplace, moments, simulate, specfun
 from shiryaev_qsd.specfun import (
     OrderParam,
     as_real,
@@ -272,21 +273,100 @@ class TestMpmathFailures:
         return fail
 
     def test_whittaker_value_error(self, monkeypatch):
-        monkeypatch.setattr(mp, "whitw", self._raise(ValueError("hypercomb")))
+        monkeypatch.setattr(specfun.MP, "whitw", self._raise(ValueError("hypercomb")))
         with pytest.raises(NonConvergenceError, match="Whittaker W") as info:
             whittaker_w(1.0, OrderParam.imaginary(0.7), 1.0)
         assert isinstance(info.value.__cause__, ValueError)
 
     def test_bessel_no_convergence(self, monkeypatch):
-        monkeypatch.setattr(mp, "besselk", self._raise(NoConvergence("besselk")))
+        monkeypatch.setattr(specfun.MP, "besselk",
+                            self._raise(NoConvergence("besselk")))
         with pytest.raises(NonConvergenceError, match="Bessel K") as info:
             bessel_k(OrderParam.real(0.5), 2.0)
         assert isinstance(info.value.__cause__, NoConvergence)
 
     def test_imaginary_order_weber_integrand(self, monkeypatch):
-        monkeypatch.setattr(mp, "besselk", self._raise(ValueError("hypercomb")))
+        monkeypatch.setattr(specfun.MP, "besselk",
+                            self._raise(ValueError("hypercomb")))
         with pytest.raises(NonConvergenceError, match="Weber K integrand"):
             weber_incomplete("K", 2.0, 2.0, OrderParam.imaginary(0.5))
+
+
+def _memo_key(name, x):
+    x = specfun.MP.convert(x)
+    arg = x._mpf_ if hasattr(x, "_mpf_") else x._mpc_
+    return (name, arg, specfun.MP.prec)
+
+
+@pytest.fixture
+def gamma_calls(monkeypatch):
+    """(function, argument, prec) of every Gamma and 1/Gamma value MP
+    actually computes, memo hits left out."""
+    calls = []
+    for name in ("gamma", "rgamma"):
+        plain = specfun.MP.unmemoised[name]
+
+        def counting(x, _name=name, _plain=plain, **kwargs):
+            calls.append(_memo_key(_name, x))
+            return _plain(x, **kwargs)
+
+        monkeypatch.setitem(specfun.MP.unmemoised, name, counting)
+    return calls
+
+
+class TestGammaMemo:
+    ORDER = OrderParam.imaginary(0.9)
+
+    def _route_values(self, A):
+        p = distribution.make_params(eigen.principal_lambda(A))
+        s = 1.0
+        vals = [fn(p, s).value for fn in laplace.ROUTES.values()]
+        vals.append(laplace.ode_residual(p, s))
+        vals.extend(moments.moments_quadrature(p, 10).values)
+        vals.extend(simulate._cdf_interpolator(p)[1])
+        return [float(v).hex() for v in vals]
+
+    @pytest.mark.parametrize("A", [5.0, 20.0], ids=["imaginary-xi", "real-xi"])
+    def test_every_value_is_bitwise_the_unmemoised_one(self, monkeypatch, A):
+        memoised = self._route_values(A)
+        monkeypatch.setattr(specfun, "gamma_memo", contextlib.nullcontext)
+        assert self._route_values(A) == memoised
+
+    def test_one_moment_table_computes_each_gamma_once(self, gamma_calls):
+        p = distribution.make_params(eigen.principal_lambda(5.0))
+        gamma_calls.clear()
+        moments.moments_quadrature(p, 10)
+        assert gamma_calls
+        assert len(set(gamma_calls)) == len(gamma_calls)
+
+    def test_nothing_outlives_a_block(self, gamma_calls):
+        with specfun.gamma_memo():
+            whittaker_w(1.0, self.ORDER, 0.7)
+        gamma_calls.clear()
+        whittaker_w(1.0, self.ORDER, 0.7)
+        first = len(gamma_calls)
+        whittaker_w(1.0, self.ORDER, 0.7)
+        assert first > 0
+        assert len(gamma_calls) == 2 * first
+
+    def test_a_nested_block_reuses_the_outer_memo(self, gamma_calls):
+        with specfun.gamma_memo():
+            whittaker_w(1.0, self.ORDER, 0.7)
+            computed = len(gamma_calls)
+            with specfun.gamma_memo():
+                whittaker_w(1.0, self.ORDER, 0.8)
+                whittaker_w(1.0, self.ORDER, 0.7)
+            whittaker_w(1.0, self.ORDER, 0.7)
+        assert computed > 0
+        assert len(gamma_calls) == computed
+
+    def test_errors_and_keyword_calls_pass_through(self, gamma_calls):
+        with specfun.gamma_memo():
+            for _ in range(2):
+                with pytest.raises(ValueError):
+                    specfun.MP.gamma(0)
+            assert specfun.MP.gamma(2.5, prec=80) == specfun.MP.gamma(2.5, prec=80)
+        assert len(gamma_calls) == 4
 
 
 def _kampe_brute(a1, a2, b1, b2, u, v, n=200):
