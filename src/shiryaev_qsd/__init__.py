@@ -36,7 +36,6 @@ from .moments import (
     moment_series,
     moments_quadrature,
     moments_recurrence,
-    variance,
 )
 from .simulate import EmpiricalQsd, SimConfig, compare_to_analytic
 from .specfun import OrderParam
@@ -51,6 +50,5 @@ __all__ = [
     "laplace_quadrature", "make_params", "moment_2f2", "moment_powerseries",
     "moment_series", "moments_quadrature", "moments_recurrence",
     "ode_residual", "principal_lambda", "qsd_cdf", "qsd_pdf",
-    "stationary_cdf", "stationary_laplace", "stationary_pdf", "variance",
-    "xi_of_lambda",
+    "stationary_cdf", "stationary_laplace", "stationary_pdf", "xi_of_lambda",
 ]

@@ -103,7 +103,7 @@ def parse_grid(spec: str):
         lo, hi, n = float(lo), float(hi), int(n)
     except ValueError as exc:
         raise QsdError(f"bad grid spec {spec!r}, expected lo:hi:n") from exc
-    if n < 1 or not hi > lo:
+    if n < 1 or not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise QsdError(f"bad grid spec {spec!r}")
     return np.linspace(lo, hi, n)
 

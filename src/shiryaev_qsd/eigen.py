@@ -133,8 +133,7 @@ def principal_lambda(A: float, tol: float = DEFAULT_TOL) -> EigenSolution:
     else:
         # tol acts relative to lambda's magnitude: the absolute lambda
         # scale spans five orders over the supported A range
-        bracket = numerics.Bracket(b_lo, b_hi, f_lo, f_hi)
-        lam = numerics.find_root(f, bracket, tol=tol * max(abs(b_hi), 1e-3))
+        lam = numerics.find_root(f, b_lo, b_hi, tol=tol * max(abs(b_hi), 1e-3))
     residual = abs(f(lam))
     scan_scale = max(abs(f(x)) for x in grid if x <= b_hi)
     if residual > RESIDUAL_REL * scan_scale:
@@ -149,7 +148,6 @@ def critical_A(tol: float = DEFAULT_TOL) -> float:
     """Absorption level at which lambda_A = 1/8 (the xi = 0 borderline),
     i.e. the root of W_{1,0}(2/A) = 0, bracketed in [5, 20]."""
     _check_tol(tol)
-    # bracket_from evaluates the ends and Brent's method evaluates them again
+    # find_root checks the ends' signs and Brent's method evaluates them again
     f = functools.cache(lambda A: whittaker_w(1.0, OrderParam.real(0.0), 2.0 / A))
-    bracket = numerics.bracket_from(f, 5.0, 20.0)
-    return numerics.find_root(f, bracket, tol=tol)
+    return numerics.find_root(f, 5.0, 20.0, tol=tol)

@@ -25,7 +25,8 @@ from .distribution import QsdParams, qsd_pdf
 from .errors import DomainError, NonConvergenceError
 from .specfun import MP, bessel_i, bessel_k, kampe_de_feriet, weber_incomplete
 
-# below this s the lambda/s prefactor route switches to the series route
+# kdf2 refuses 0 < s below this: the cancellation in F - e^{-sA} costs
+# about lambda eps / s relative
 KDF2_S_FLOOR = 1e-8
 
 # absolute and relative tolerance of the reference quadrature route
@@ -43,6 +44,8 @@ class LaplaceEval:
 def _check_s(s):
     if not s >= 0:
         raise DomainError(f"s must be >= 0, got {s}")
+    if not math.isfinite(s):
+        raise DomainError(f"s must be finite, got {s}")
 
 
 def laplace_quadrature(p: QsdParams, s: float) -> LaplaceEval:
@@ -105,13 +108,13 @@ def laplace_kdf1(p: QsdParams, s: float) -> LaplaceEval:
 
 def laplace_kdf2(p: QsdParams, s: float) -> LaplaceEval:
     """(lambda/s) (F[...] - e^{-sA}) with the repeated-parameter double
-    series; the removable singularity at s = 0 is taken via the
-    moment-series route."""
+    series; exactly 1 at s = 0, and refused for 0 < s < KDF2_S_FLOOR."""
     _check_s(s)
-    if s < KDF2_S_FLOOR:
-        ev = laplace_moment_series(p, s)
-        return LaplaceEval(s, ev.A, ev.value, "kdf2")
     lam, A = p.eigen.lam, p.eigen.A
+    if s == 0.0:
+        return LaplaceEval(s, A, 1.0, "kdf2")
+    if s < KDF2_S_FLOOR:
+        raise DomainError(f"kdf2 needs s = 0 or s >= {KDF2_S_FLOOR:g}, got {s}")
     hx = p.eigen.xi.halved().value
     f = kampe_de_feriet(-0.5 - hx, -0.5 + hx, -0.5 - hx, -0.5 + hx,
                         -s * A, 2.0 * s)
@@ -170,14 +173,14 @@ def ode_residual(p: QsdParams, s: float, method: str = "bessel", *,
     central differences (one Richardson level) of the chosen route.
 
     The route is evaluated once at each of the five points s, s +- h/2
-    and s +- h, with step h = 1e-4 max(1, s); L(s) serves both second
-    differences and the residual.  ``L_s``, when given, is taken as the
-    route's value at s, which a caller that already has it passes to save
-    that evaluation.
+    and s +- h, with step h = min(1e-4 max(1, s), s) so that no point
+    lies below 0; L(s) serves both second differences and the residual.
+    ``L_s``, when given, is taken as the route's value at s, which a
+    caller that already has it passes to save that evaluation.
     """
     if s <= 0:
         raise DomainError(f"ODE residual needs s > 0, got {s}")
-    h = 1e-4 * max(1.0, s)
+    h = min(1e-4 * max(1.0, s), s)
 
     def L(x):
         return evaluate(p, x, method).value

@@ -13,7 +13,6 @@ are even in xi by construction.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 from . import numerics, specfun
@@ -127,21 +126,6 @@ def moment_series(p: QsdParams, n_max: int, method: str = "recurrence") -> Momen
     if method not in ROUTES:
         raise ValueError(f"unknown method {method!r}")
     return ROUTES[method](p, n_max)
-
-
-def variance(p: QsdParams) -> float:
-    """Var[Z] = (lambda - (A lambda - 1)^2) / (lambda^2 (1 + lambda)),
-    always strictly positive."""
-    lam, A = p.eigen.lam, p.eigen.A
-    v = (lam - (A * lam - 1.0) ** 2) / (lam * lam * (1.0 + lam))
-    if not v > 0:
-        raise ValueError(f"variance must be strictly positive, got {v}")
-    return v
-
-
-def mean(p: QsdParams) -> float:
-    """First moment A - 1/lambda_A (always in (0, A))."""
-    return p.eigen.A - 1.0 / p.eigen.lam
 
 
 def max_rel_spread(values) -> float:

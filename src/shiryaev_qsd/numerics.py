@@ -1,8 +1,8 @@
 """Bracketed root finding and adaptive quadrature primitives.
 
-Thin wrappers around scipy (Brent's method, QUADPACK) that add certified
-brackets, explicit error objects, and the error-reporting conventions the
-rest of the package relies on.
+Thin wrappers around scipy (Brent's method, QUADPACK) that check their
+brackets, raise explicit error objects, and follow the error-reporting
+conventions the rest of the package relies on.
 """
 
 from __future__ import annotations
@@ -15,31 +15,7 @@ from scipy.optimize import brentq
 
 from .errors import InvalidBracketError, NonConvergenceError
 
-DEFAULT_QUAD_TOL = 1e-11
 QUAD_LIMIT = 200
-
-
-@dataclass(frozen=True)
-class Bracket:
-    """An interval [lo, hi] on which f changes sign."""
-
-    lo: float
-    hi: float
-    f_lo: float
-    f_hi: float
-
-    def __post_init__(self):
-        if not (self.lo < self.hi):
-            raise InvalidBracketError(f"lo={self.lo} must be < hi={self.hi}")
-        if not (self.f_lo * self.f_hi < 0):
-            raise InvalidBracketError(
-                f"no sign change: f(lo)={self.f_lo}, f(hi)={self.f_hi}"
-            )
-
-
-def bracket_from(f, lo, hi):
-    """Evaluate f at the endpoints and build a Bracket (or raise)."""
-    return Bracket(lo, hi, f(lo), f(hi))
 
 
 @dataclass(frozen=True)
@@ -48,17 +24,24 @@ class QuadResult:
     evaluations: int
 
 
-def find_root(f, bracket: Bracket, tol: float = 1e-12) -> float:
-    """Root of f inside the given bracket.
+def find_root(f, lo: float, hi: float, tol: float) -> float:
+    """Root of f in [lo, hi].
 
+    Raises InvalidBracketError unless lo < hi and f(lo) f(hi) < 0.
     Brent's method: inverse-quadratic/secant steps with a bisection
     fallback, so convergence is guaranteed and the result never leaves
-    the initial bracket.
+    the bracket.  It evaluates f at both ends again, so a caller with an
+    expensive f memoises it.
     """
-    return brentq(f, bracket.lo, bracket.hi, xtol=tol, rtol=8 * math.ulp(1.0))
+    if not lo < hi:
+        raise InvalidBracketError(f"lo={lo} must be < hi={hi}")
+    f_lo, f_hi = f(lo), f(hi)
+    if not f_lo * f_hi < 0:
+        raise InvalidBracketError(f"no sign change: f(lo)={f_lo}, f(hi)={f_hi}")
+    return brentq(f, lo, hi, xtol=tol, rtol=8 * math.ulp(1.0))
 
 
-def integrate(f, a, b, tol: float = DEFAULT_QUAD_TOL) -> QuadResult:
+def integrate(f, a, b, tol: float) -> QuadResult:
     """Adaptive quadrature of f over (a, b); b may be +inf.
 
     Globally adaptive Gauss-Kronrod subdivision with both absolute and

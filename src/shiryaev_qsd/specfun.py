@@ -1,7 +1,7 @@
-"""Special functions the closed forms need: the 2F2 series, Whittaker W,
-modified Bessel I/K (real and purely imaginary order), the bivariate
-double hypergeometric series F^{0:2;1}_{2:0;0}, and incomplete Weber
-integrals.
+"""Special functions the closed forms need: the terminating 2F2 series,
+Whittaker W, modified Bessel I/K (real and purely imaginary order), the
+bivariate double hypergeometric series F^{0:2;1}_{2:0;0}, and incomplete
+Weber integrals.
 
 Whittaker and Bessel evaluations are delegated to mpmath (arbitrary
 precision, complex indices, automatic handling of the logarithmic case
@@ -34,6 +34,7 @@ from . import numerics
 from .errors import (
     DenominatorPoleError,
     DivergenceError,
+    DomainError,
     EvaluationDomainError,
     ImaginaryResidueError,
     NonConvergenceError,
@@ -45,7 +46,7 @@ WORK_DPS = 25
 # |imag| beyond this (relative) scale is treated as a bug, not noise
 HARD_IMAG_TOL = 1e-6
 
-# truncation policy for the power and double series (read at call time)
+# truncation policy for the moment and double series (read at call time)
 SERIES_REL_TOL = 1e-14
 SERIES_MAX_TERMS = 100_000
 
@@ -189,9 +190,11 @@ def series_dps(peak: float, what: str) -> int:
     """Working digits for a sum whose terms peak ~10^peak above its value:
     WORK_DPS plus the digits cancellation eats, with 20% headroom.
 
-    Raises NonConvergenceError beyond MAX_SERIES_DPS; ``what`` names the
-    sum and its arguments in that message.
+    Raises NonConvergenceError beyond MAX_SERIES_DPS or at a non-finite
+    peak; ``what`` names the sum and its arguments in that message.
     """
+    if not math.isfinite(peak):
+        raise NonConvergenceError(f"{what} needs unboundedly many digits; refusing")
     dps = WORK_DPS + int(1.2 * peak)
     if dps > MAX_SERIES_DPS:
         raise NonConvergenceError(f"{what} needs ~{dps} digits; refusing")
@@ -199,45 +202,28 @@ def series_dps(peak: float, what: str) -> int:
 
 
 def hyp2f2(a1, a2, b1, b2, z) -> complex:
-    """Generalized hypergeometric series with two upper and two lower
-    parameters, sum_n (a1)_n (a2)_n / ((b1)_n (b2)_n) z^n / n!.
+    """Terminating generalized hypergeometric series with two upper and
+    two lower parameters, sum_n (a1)_n (a2)_n / ((b1)_n (b2)_n) z^n / n!.
 
-    When a1 or a2 is a nonpositive integer the exact terminating sum is
-    used (a polynomial in z, no truncation error beyond rounding).
+    An upper parameter must be a nonpositive integer -N, and the sum is
+    the exact polynomial of degree N in z (the smallest such N when both
+    are); otherwise the parameters are refused with DomainError.
     """
     for b in (b1, b2):
         if _is_nonpositive_integer(b):
             raise DenominatorPoleError(f"lower parameter pole at {b}")
+    degrees = [int(-complex(a).real) for a in (a1, a2) if _is_nonpositive_integer(a)]
+    if not degrees:
+        raise DomainError(
+            f"2F2 needs a nonpositive integer upper parameter, got {a1}, {a2}")
     a1, a2, b1, b2, z = (complex(v) for v in (a1, a2, b1, b2, z))
-
-    n_stop = None
-    if _is_nonpositive_integer(a1):
-        n_stop = int(-a1.real)
-    if _is_nonpositive_integer(a2):
-        stop2 = int(-a2.real)
-        n_stop = stop2 if n_stop is None else min(n_stop, stop2)
 
     total = complex(0.0)
     term = complex(1.0)
-    small_streak = 0
-    n = 0
-    while True:
+    for n in range(min(degrees)):
         total += term
-        if n_stop is not None and n == n_stop:
-            return total
-        if n_stop is None:
-            if abs(term) <= SERIES_REL_TOL * abs(total):
-                small_streak += 1
-                if small_streak >= 3:
-                    return total
-            else:
-                small_streak = 0
-            if n + 1 >= SERIES_MAX_TERMS:
-                raise NonConvergenceError(
-                    f"2F2 series did not converge within {SERIES_MAX_TERMS} terms"
-                )
         term *= (a1 + n) * (a2 + n) * z / ((b1 + n) * (b2 + n) * (n + 1))
-        n += 1
+    return total + term
 
 
 def whittaker_w(a: float, order: OrderParam, z: float) -> float:

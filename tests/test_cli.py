@@ -94,12 +94,19 @@ class TestExitCodes:
         (("critical-a", "--tol", "inf"), "DomainError"),
         (("eigen", "--A", "2", "--tol", "inf"), "DomainError"),
         (("eigen", "--A", "2", "--tol", "1e-3"), "DomainError"),
+        (("laplace", "--A", "5", "--s", "inf"), "DomainError"),
+        (("laplace", "--A", "5", "--s", "1e308", "--method", "moments"),
+         "NonConvergenceError"),
+        (("pdf", "--A", "5", "--grid", "0:inf:3"), "QsdError"),
+        (("eigen", "--grid", "1:inf:3"), "QsdError"),
     ], ids=["laplace-s-not-a-number", "eigen-log-grid-from-zero",
             "eigen-tol-zero", "moments-negative-order",
             "eigen-level-below-range", "cdf-level-below-range",
             "simulate-infinite-level", "simulate-level-above-range",
             "simulate-level-below-range", "critical-a-tol-inf",
-            "eigen-tol-inf", "eigen-tol-above-default"])
+            "eigen-tol-inf", "eigen-tol-above-default", "laplace-infinite-s",
+            "laplace-moments-overflowing-s", "pdf-grid-to-infinity",
+            "eigen-grid-to-infinity"])
     def test_bad_input_is_a_clean_failure(self, capsys, argv, error):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1
@@ -197,6 +204,13 @@ class TestMomentsAndLaplaceCommands:
         for r in rows:
             assert float(r["max_rel_spread"]) <= 1e-6
             assert abs(float(r["ode_residual"])) <= 1e-5
+
+    def test_residual_below_the_default_step(self, capsys):
+        # s < 1e-4: the residual's stencil step is capped at s
+        code, out, _ = run_cli(capsys, "laplace", "--A", "5", "--s", "5e-5")
+        assert code == 0
+        [row] = list(csv.DictReader(io.StringIO(out)))
+        assert abs(float(row["ode_residual"])) < 1e-12
 
     def test_limit_check_gap_shrinks(self, capsys):
         code, out, _ = run_cli(capsys, "laplace", "--s", "1", "--limit-check")

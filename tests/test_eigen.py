@@ -50,8 +50,7 @@ def full_scan_lambda(A, tol=eigen.DEFAULT_TOL):
     if f_lo == 0.0:
         lam = b_lo
     else:
-        bracket = numerics.Bracket(b_lo, b_hi, f_lo, f_hi)
-        lam = numerics.find_root(f, bracket, tol=tol * max(abs(b_hi), 1e-3))
+        lam = numerics.find_root(f, b_lo, b_hi, tol=tol * max(abs(b_hi), 1e-3))
     residual = abs(f(lam))
     assert residual <= eigen.RESIDUAL_REL * max(abs(v) for v in vals)
     return lam, residual, xi_of_lambda(lam)

@@ -50,6 +50,13 @@ class TestBasicProperties:
                 with pytest.raises(DomainError):
                     evaluate(p, s, m)
 
+    def test_kdf2_refuses_below_its_floor(self, params_for):
+        p = params_for(5.0)
+        assert laplace_kdf2(p, 0.0).value == 1.0
+        with pytest.raises(DomainError):
+            laplace_kdf2(p, 1e-9)
+        assert math.isfinite(laplace_moment_series(p, 1e-9).value)
+
     def test_unknown_method_rejected(self, params_for):
         with pytest.raises(ValueError):
             evaluate(params_for(5.0), 1.0, "fourier")

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from shiryaev_qsd.distribution import qsd_cdf, qsd_pdf
 from shiryaev_qsd.eigen import A_MAX, A_MIN, lambda_bounds, principal_lambda
 from shiryaev_qsd.errors import DomainError, QsdError
-from shiryaev_qsd.laplace import laplace_kdf1, laplace_moment_series
+from shiryaev_qsd.laplace import laplace_kdf1, laplace_kdf2, laplace_moment_series
 from shiryaev_qsd.moments import moment_series
 from shiryaev_qsd.simulate import SimConfig
 
@@ -49,6 +49,7 @@ def test_finite_value_or_qsd_error(params_for, A, x_share, n, s):
         finite_or_refused(method, lambda: moment_series(p, n, method).values[n])
     finite_or_refused("laplace moments", lambda: laplace_moment_series(p, s).value)
     finite_or_refused("laplace kdf1", lambda: laplace_kdf1(p, s).value)
+    finite_or_refused("laplace kdf2", lambda: laplace_kdf2(p, s).value)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

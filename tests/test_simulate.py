@@ -5,8 +5,9 @@ The heavier cross-validation (full path count, tight tolerances) lives in
 the acceptance suite; these tests use smaller ensembles to stay fast.
 """
 
+import importlib
 import math
-import sys
+import pkgutil
 
 import numpy as np
 import pytest
@@ -163,7 +164,10 @@ class TestComparison:
             compare_to_analytic(emp, params_for(5.0))
 
 
-def test_package_attribute_is_the_submodule():
+@pytest.mark.parametrize(
+    "name", sorted(m.name for m in pkgutil.iter_modules(shiryaev_qsd.__path__)))
+def test_package_attribute_is_the_submodule(name):
     # a package-level name `simulate` would shadow the submodule, and
     # `shiryaev_qsd.simulate.SimConfig` would then raise AttributeError
-    assert shiryaev_qsd.simulate is sys.modules["shiryaev_qsd.simulate"]
+    module = importlib.import_module(f"shiryaev_qsd.{name}")
+    assert getattr(shiryaev_qsd, name, module) is module
