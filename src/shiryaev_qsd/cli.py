@@ -125,10 +125,11 @@ def _params(A):
 def laplace_row(p, s, methods):
     """The named routes' values at s, their max relative spread and the
     bessel route's ODE residual.  A refusing route gives NaN; when every
-    route refuses, the first refusal is raised.  The residual reuses the
-    row's bessel value at s when there is one."""
+    route refuses, the first refusal is raised.  The residual shares the
+    row's memo block, so it reuses the row's bessel value at s; it is NaN
+    when that value or the residual itself is refused."""
     vals, refusals = [], []
-    with specfun.gamma_memo():
+    with specfun.memo():
         for m in methods:
             try:
                 vals.append(laplace.evaluate(p, s, m).value)
@@ -139,10 +140,13 @@ def laplace_row(p, s, methods):
             raise refusals[0]
         ok = [v for v in vals if not math.isnan(v)]
         spread = moments.max_rel_spread(ok) if len(ok) > 1 else 0.0
-        L_s = dict(zip(methods, vals)).get("bessel", math.nan)
-        resid = (laplace.ode_residual(p, s, method="bessel",
-                                      L_s=None if math.isnan(L_s) else L_s)
-                 if s > 0 else 0.0)
+        resid = 0.0 if s == 0 else math.nan
+        # a refusal is never memoised: do not repeat a refused bessel value
+        if s > 0 and not math.isnan(dict(zip(methods, vals)).get("bessel", 0.0)):
+            try:
+                resid = laplace.ode_residual(p, s, method="bessel")
+            except QsdError:
+                pass
     return vals + [spread, resid]
 
 
@@ -176,7 +180,7 @@ def cmd_critical_a(args, out: Output):
 def _dist_rows(args, fn):
     p = _params(args.A)
     xs = parse_grid(args.grid)
-    with specfun.gamma_memo():
+    with specfun.memo():
         return [[float(x), fn(p, float(x))] for x in xs]
 
 
@@ -302,8 +306,9 @@ def laplace_table():
     rows = []
     for A in (1.0, 5.0, 20.0):
         p = _params(A)
-        for s in (0.1, 1.0, 5.0):
-            rows.append([A, s] + laplace_row(p, s, laplace.METHODS))
+        with specfun.memo():  # the level's rows share its W values
+            for s in (0.1, 1.0, 5.0):
+                rows.append([A, s] + laplace_row(p, s, laplace.METHODS))
     return ["A", "s"] + list(laplace.METHODS) + ["max_rel_spread", "ode_residual"], rows
 
 

@@ -12,7 +12,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from . import numerics
+from . import numerics, specfun
 from .errors import BracketFailure, DomainError
 from .specfun import OrderParam, whittaker_w
 
@@ -99,49 +99,48 @@ def principal_lambda(A: float, tol: float = DEFAULT_TOL) -> EigenSolution:
                           f"got {tol}")
     A = float(A)
     lo, hi = lambda_bounds(A)
-
-    # one W evaluation per distinct lambda: Brent's method re-evaluates
-    # the bracket ends and the residual re-evaluates the root
-    f = functools.cache(lambda lam: eigen_objective(lam, A))
-
-    # the bounds interval can contain higher eigenvalues too (their
-    # spacing shrinks relative to the interval for small A), so walk up
-    # from the lower bound to the FIRST sign change rather than trusting
-    # the endpoints; grid points above it are never evaluated
-    grid = [lo + k * (hi - lo) / SCAN_POINTS for k in range(SCAN_POINTS + 1)]
-    for b_lo, b_hi in zip(grid, grid[1:]):
-        f_lo, f_hi = f(b_lo), f(b_hi)
-        if f_lo == 0.0 or f_lo * f_hi < 0:
-            break
-    else:
-        raise BracketFailure(
-            f"no sign change in the bounds ({lo}, {hi}) at A={A}; "
-            "this indicates a special-function defect"
-        )
-
-    # cheap insurance against a smaller root below the analytic bound
-    guard = [lo / 4.0 + k * (lo - lo / 4.0) / 8.0 for k in range(9)]
-    gvals = [f(x) for x in guard]
-    for g0, g1 in zip(gvals, gvals[1:]):
-        if g0 * g1 < 0:
+    f = functools.partial(eigen_objective, A=A)
+    # the block holds one W value per distinct lambda: Brent's method
+    # re-evaluates the bracket ends and the residual re-evaluates the root
+    with specfun.memo():
+        # the bounds interval can contain higher eigenvalues too (their
+        # spacing shrinks relative to the interval for small A), so walk up
+        # from the lower bound to the FIRST sign change rather than trusting
+        # the endpoints; grid points above it are never evaluated
+        grid = [lo + k * (hi - lo) / SCAN_POINTS for k in range(SCAN_POINTS + 1)]
+        for b_lo, b_hi in zip(grid, grid[1:]):
+            f_lo, f_hi = f(b_lo), f(b_hi)
+            if f_lo == 0.0 or f_lo * f_hi < 0:
+                break
+        else:
             raise BracketFailure(
-                f"spurious eigenvalue sign change below the lower bound at A={A}"
+                f"no sign change in the bounds ({lo}, {hi}) at A={A}; "
+                "this indicates a special-function defect"
             )
 
-    if f_lo == 0.0:
-        lam = b_lo
-    else:
-        # tol acts relative to lambda's magnitude: the absolute lambda
-        # scale spans five orders over the supported A range
-        lam = numerics.find_root(f, b_lo, b_hi, tol=tol * max(abs(b_hi), 1e-3))
-    residual = abs(f(lam))
-    scan_scale = max(abs(f(x)) for x in grid if x <= b_hi)
-    if residual > RESIDUAL_REL * scan_scale:
-        raise BracketFailure(
-            f"eigenvalue residual {residual} too large at A={A} "
-            f"(scale {scan_scale})"
-        )
-    return EigenSolution(A=A, lam=lam, xi=xi_of_lambda(lam), residual=residual)
+        # cheap insurance against a smaller root below the analytic bound
+        guard = [lo / 4.0 + k * (lo - lo / 4.0) / 8.0 for k in range(9)]
+        gvals = [f(x) for x in guard]
+        for g0, g1 in zip(gvals, gvals[1:]):
+            if g0 * g1 < 0:
+                raise BracketFailure(
+                    f"spurious eigenvalue sign change below the lower bound at A={A}"
+                )
+
+        if f_lo == 0.0:
+            lam = b_lo
+        else:
+            # tol acts relative to lambda's magnitude: the absolute lambda
+            # scale spans five orders over the supported A range
+            lam = numerics.find_root(f, b_lo, b_hi, tol=tol * max(abs(b_hi), 1e-3))
+        residual = abs(f(lam))
+        scan_scale = max(abs(f(x)) for x in grid if x <= b_hi)
+        if residual > RESIDUAL_REL * scan_scale:
+            raise BracketFailure(
+                f"eigenvalue residual {residual} too large at A={A} "
+                f"(scale {scan_scale})"
+            )
+        return EigenSolution(A=A, lam=lam, xi=xi_of_lambda(lam), residual=residual)
 
 
 def critical_A(tol: float = DEFAULT_TOL) -> float:
@@ -149,5 +148,7 @@ def critical_A(tol: float = DEFAULT_TOL) -> float:
     i.e. the root of W_{1,0}(2/A) = 0, bracketed in [5, 20]."""
     _check_tol(tol)
     # find_root checks the ends' signs and Brent's method evaluates them again
-    f = functools.cache(lambda A: whittaker_w(1.0, OrderParam.real(0.0), 2.0 / A))
-    return numerics.find_root(f, 5.0, 20.0, tol=tol)
+    with specfun.memo():
+        return numerics.find_root(
+            lambda A: whittaker_w(1.0, OrderParam.real(0.0), 2.0 / A), 5.0, 20.0,
+            tol=tol)

@@ -52,7 +52,7 @@ def laplace_quadrature(p: QsdParams, s: float) -> LaplaceEval:
     """Direct integral of e^{-sx} against the closed-form pdf."""
     _check_s(s)
     A = p.eigen.A
-    with specfun.gamma_memo():
+    with specfun.memo():
         res = numerics.integrate(lambda x: math.exp(-s * x) * qsd_pdf(p, x), 0.0, A,
                                  tol=QUADRATURE_TOL)
     return LaplaceEval(s, A, res.value, "quadrature")
@@ -124,19 +124,24 @@ def laplace_kdf2(p: QsdParams, s: float) -> LaplaceEval:
 
 def laplace_bessel(p: QsdParams, s: float) -> LaplaceEval:
     """Closed form through modified Bessel functions and incomplete
-    Weber integrals; the only analytic route valid uniformly in s, A."""
+    Weber integrals; the only analytic route valid uniformly in s, A.
+    Refused with NonConvergenceError where its value is not finite."""
     _check_s(s)
     lam, A = p.eigen.lam, p.eigen.A
     xi = p.eigen.xi
     if s == 0.0:
         return LaplaceEval(s, A, 1.0, "bessel")
     u = 2.0 * math.sqrt(2.0 * s)
-    with specfun.gamma_memo():
+    with specfun.memo():
         ki = bessel_k(xi, u)
         ii = bessel_i(xi, u)
         w_i = weber_incomplete("I", u, A, xi)
         w_k = weber_incomplete("K", u, A, xi)
     value = u * ki / p.normalizer + 8.0 * lam * (u * ki * w_i - u * ii * w_k)
+    if not math.isfinite(value):
+        # from s ~ 6.3e4 on, I(u) overflows and K(u) underflows
+        raise NonConvergenceError(
+            f"bessel route leaves float range at s={s}, A={A}: value {value}")
     return LaplaceEval(s, A, value, "bessel")
 
 
@@ -161,22 +166,21 @@ METHODS = tuple(ROUTES)
 
 
 def evaluate(p: QsdParams, s: float, method: str) -> LaplaceEval:
-    """Evaluate the transform by the named route."""
+    """Evaluate the transform by the named route, once per (p, s, method)
+    inside a specfun.memo() block."""
     if method not in ROUTES:
         raise ValueError(f"unknown method {method!r}")
-    return ROUTES[method](p, s)
+    return specfun.memoised(ROUTES[method], lambda p, s: (method, p, s))(p, s)
 
 
-def ode_residual(p: QsdParams, s: float, method: str = "bessel", *,
-                 L_s: float | None = None) -> float:
+def ode_residual(p: QsdParams, s: float, method: str = "bessel") -> float:
     """(s^2/2) L'' - (s - lambda) L - lambda e^{-sA} with L'' from
     central differences (one Richardson level) of the chosen route.
 
     The route is evaluated once at each of the five points s, s +- h/2
     and s +- h, with step h = min(1e-4 max(1, s), s) so that no point
-    lies below 0; L(s) serves both second differences and the residual.
-    ``L_s``, when given, is taken as the route's value at s, which a
-    caller that already has it passes to save that evaluation.
+    lies below 0; L(s) serves both second differences and the residual,
+    and an enclosing memo block that already holds it supplies it.
     """
     if s <= 0:
         raise DomainError(f"ODE residual needs s > 0, got {s}")
@@ -186,11 +190,10 @@ def ode_residual(p: QsdParams, s: float, method: str = "bessel", *,
         return evaluate(p, x, method).value
 
     def second(hh):
-        return (L(s - hh) - 2.0 * L_s + L(s + hh)) / (hh * hh)
+        return (L(s - hh) - 2.0 * at_s + L(s + hh)) / (hh * hh)
 
-    with specfun.gamma_memo():
-        if L_s is None:
-            L_s = L(s)
+    with specfun.memo():
+        at_s = L(s)
         d2 = (4.0 * second(h / 2.0) - second(h)) / 3.0
     lam, A = p.eigen.lam, p.eigen.A
-    return (s * s / 2.0) * d2 - (s - lam) * L_s - lam * math.exp(-s * A)
+    return (s * s / 2.0) * d2 - (s - lam) * at_s - lam * math.exp(-s * A)

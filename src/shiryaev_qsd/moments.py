@@ -12,12 +12,12 @@ are even in xi by construction.
 
 from __future__ import annotations
 
-import functools
+import math
 from dataclasses import dataclass
 
 from . import numerics, specfun
 from .distribution import QsdParams, qsd_pdf
-from .errors import DomainError
+from .errors import DomainError, NonConvergenceError
 from .specfun import as_real, hyp2f2
 
 # absolute and relative tolerance of each quadrature-route moment
@@ -38,13 +38,32 @@ class MomentSeries:
             raise DomainError(f"n_max must be >= 0, got {self.n_max}")
 
 
+def _finite_series(p: QsdParams, n_max: int, method: str, values) -> MomentSeries:
+    """The route's moments M_0..M_n_max; NonConvergenceError at the first
+    that overflows float or is not finite."""
+    vals = []
+    try:
+        for v in values:
+            if not math.isfinite(v):
+                raise OverflowError
+            vals.append(v)
+    except OverflowError as exc:
+        raise NonConvergenceError(f"{method} moment M_{len(vals)} leaves float "
+                                  f"range at A={p.eigen.A}") from exc
+    return MomentSeries(p, n_max, tuple(vals), method)
+
+
 def moments_recurrence(p: QsdParams, n_max: int) -> MomentSeries:
     """Forward iteration of the defining recurrence."""
     lam, A = p.eigen.lam, p.eigen.A
-    vals = [1.0]
-    for n in range(1, n_max + 1):
-        vals.append((lam * A**n - n * vals[n - 1]) / (n * (n - 1) / 2.0 + lam))
-    return MomentSeries(p, n_max, tuple(vals), "recurrence")
+
+    def values():
+        m = 1.0
+        yield m
+        for n in range(1, n_max + 1):
+            m = (lam * A**n - n * m) / (n * (n - 1) / 2.0 + lam)
+            yield m
+    return _finite_series(p, n_max, "recurrence", values())
 
 
 def moment_2f2(p: QsdParams, n: int) -> float:
@@ -89,26 +108,21 @@ def moments_quadrature(p: QsdParams, n_max: int) -> MomentSeries:
     """Direct integrals int x^n q_A(x) dx as the independent check.
 
     The n_max + 1 adaptive integrals over [0, A] share most of their
-    nodes, so q_A is memoised for the duration of the call, keyed by the
-    exact node: each distinct node costs one closed-form evaluation, and
-    every value is bitwise the one integrating qsd_pdf directly gives.
+    nodes; the call's memo block computes W once per distinct node.
     """
     A = p.eigen.A
-    pdf = functools.cache(lambda x: qsd_pdf(p, x))
-    vals = []
-    with specfun.gamma_memo():
-        for n in range(n_max + 1):
-            res = numerics.integrate(lambda x: x**n * pdf(x), 0.0, A,
-                                     tol=QUADRATURE_TOL)
-            vals.append(res.value)
-    return MomentSeries(p, n_max, tuple(vals), "quadrature")
+    with specfun.memo():
+        return _finite_series(p, n_max, "quadrature", (
+            numerics.integrate(lambda x: x**n * qsd_pdf(p, x), 0.0, A,
+                               tol=QUADRATURE_TOL).value
+            for n in range(n_max + 1)))
 
 
 def _termwise(moment, method):
     """Series route from a closed form for a single moment."""
     def route(p: QsdParams, n_max: int) -> MomentSeries:
-        return MomentSeries(p, n_max, tuple(moment(p, n) for n in range(n_max + 1)),
-                            method)
+        return _finite_series(p, n_max, method,
+                              (moment(p, n) for n in range(n_max + 1)))
     return route
 
 

@@ -170,7 +170,7 @@ def _cdf_interpolator(p: QsdParams):
     interpolation is far below Monte Carlo resolution."""
     A = p.eigen.A
     xs = np.linspace(0.0, A, CDF_GRID + 1)
-    with specfun.gamma_memo():
+    with specfun.memo():
         cdf = np.array([qsd_cdf(p, x) for x in xs])
     return xs, cdf
 

@@ -9,13 +9,13 @@ when the order parameter degenerates); everything is collapsed back to
 float with an explicit imaginary-residue check.
 
 Every mpmath call goes through the package-private context ``MP``, never
-mpmath's global ``mp``.  Its Gamma and 1/Gamma reuse values inside a
-``gamma_memo()`` block: mpmath's closed forms multiply each series by
-Gamma factors that depend on the order and the precision but not on the
-argument, so one order evaluated at many points recomputes the same few
-values.  The functions here are not thread-safe: ``MP.workdps`` sets the
-precision of the one shared context.  The memo itself is per thread (a
-``ContextVar``), and exists only while a block is open.
+mpmath's global ``mp``.  A ``memo()`` block reuses Gamma, 1/Gamma and W
+values: mpmath multiplies each series by Gamma factors that depend on
+the order and the precision only, and the routes at one level evaluate
+W at shared points.  The functions here are not thread-safe:
+``MP.workdps`` sets the precision of the one shared context.  The memo
+itself is per thread (a ``ContextVar``), and exists only while a block
+is open.
 """
 
 from __future__ import annotations
@@ -57,58 +57,59 @@ MAX_SERIES_DPS = 350
 WEBER_TOL = 1e-11
 
 
-# the open gamma_memo() block's values, keyed by (function, argument,
-# prec, rounding); None outside any block
-_GAMMA_MEMO = contextvars.ContextVar("gamma_memo", default=None)
+# the open memo() block's values, keyed by call; None outside any block
+_MEMO = contextvars.ContextVar("memo", default=None)
 
 
-class _GammaMemoContext(MPContext):
-    """An mpmath context whose gamma and rgamma answer a repeated call
-    from the open gamma_memo() block.
+def memoised(fn, key):
+    """fn, with a repeated call answered from the open memo() block under
+    ``key(*args)``.  A call with keyword arguments, a call outside any
+    block and a call that raises go straight to fn; an exception is
+    never stored."""
+    def call(*args, **kwargs):
+        memo = _MEMO.get()
+        if memo is None or kwargs:
+            return fn(*args, **kwargs)
+        k = key(*args)
+        value = memo.get(k)
+        if value is None:
+            value = memo[k] = fn(*args)
+        return value
+    return call
 
-    Gamma is a deterministic function of its argument, the precision and
-    the rounding, so a reused value is bitwise the one mpmath would
-    compute again.  A call with keyword arguments, a call outside any
-    block, and a call that raises go straight to mpmath; an exception is
-    never stored.  ``unmemoised`` holds mpmath's own functions.
-    """
+
+class _MemoContext(MPContext):
+    """An mpmath context whose gamma and rgamma are memoised: Gamma is a
+    deterministic function of its argument, the precision and the
+    rounding, so a reused value is bitwise the one mpmath computes.
+    ``unmemoised`` holds mpmath's own functions."""
 
     def __init__(self):
         super().__init__()
         self.unmemoised = {"gamma": self.gamma, "rgamma": self.rgamma}
-        self.gamma = self._memoised("gamma")
-        self.rgamma = self._memoised("rgamma")
+        for name in self.unmemoised:
+            setattr(self, name, memoised(
+                lambda x, _name=name, **kwargs: self.unmemoised[_name](x, **kwargs),
+                lambda x, _name=name: (_name, self._exact(x), *self._prec_rounding)))
 
-    def _memoised(self, name):
-        def fn(x, **kwargs):
-            memo = _GAMMA_MEMO.get()
-            if memo is None or kwargs:
-                return self.unmemoised[name](x, **kwargs)
-            x = self.convert(x)
-            arg = x._mpf_ if hasattr(x, "_mpf_") else x._mpc_
-            key = (name, arg, *self._prec_rounding)
-            value = memo.get(key)
-            if value is None:
-                value = memo[key] = self.unmemoised[name](x)
-            return value
-        return fn
+    def _exact(self, x):
+        x = self.convert(x)
+        return x._mpf_ if hasattr(x, "_mpf_") else x._mpc_
 
 
-MP = _GammaMemoContext()
+MP = _MemoContext()
 
 
 @contextmanager
-def gamma_memo():
-    """Reuse MP's Gamma and 1/Gamma values until the outermost block
-    exits; a nested block shares the outer block's values."""
-    if _GAMMA_MEMO.get() is not None:
-        yield
-        return
-    token = _GAMMA_MEMO.set({})
+def memo():
+    """Reuse MP's Gamma, 1/Gamma and W values and laplace.evaluate's until
+    the outermost block exits; a nested block shares them."""
+    outer = _MEMO.get()
+    token = _MEMO.set({} if outer is None else outer)
     try:
         yield
     finally:
-        _GAMMA_MEMO.reset(token)
+        _MEMO.reset(token)
 
 
 @dataclass(frozen=True)
@@ -233,9 +234,15 @@ def whittaker_w(a: float, order: OrderParam, z: float) -> float:
     reproduces the value bitwise."""
     if z <= 0:
         raise EvaluationDomainError(f"Whittaker W needs z > 0, got z={z}")
-    b = _canonical_order(order)
+    return _whitw(float(a), _canonical_order(order), z)
+
+
+def _whitw_direct(a: float, b: complex, z: float) -> float:
     with _mpmath_evaluation("Whittaker W (a, order, z)", a, b, z):
-        return as_real(complex(MP.whitw(float(a), MP.mpc(b), z)))
+        return as_real(complex(MP.whitw(a, MP.mpc(b), z)))
+
+
+_whitw = memoised(_whitw_direct, lambda *args: ("whitw", *args))
 
 
 def _bessel_complex(kind: str, order: OrderParam, z: float):
@@ -285,7 +292,7 @@ def kampe_de_feriet(a1, a2, b1, b2, u: float, v: float) -> float:
     dps = series_dps(peak, f"double series at u={u}, v={v}")
 
     # rf goes through gammaprod: Gamma(b) is the same in every row
-    with MP.workdps(dps), gamma_memo():
+    with MP.workdps(dps), memo():
         a1m, a2m, b1m, b2m = (MP.mpmathify(complex(t)) for t in (a1, a2, b1, b2))
         um, vm = MP.mpf(u), MP.mpf(v)
         tol = MP.mpf(SERIES_REL_TOL)

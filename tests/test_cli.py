@@ -5,6 +5,7 @@ import argparse
 import csv
 import io
 import json
+import pathlib
 
 import pytest
 
@@ -99,6 +100,10 @@ class TestExitCodes:
          "NonConvergenceError"),
         (("pdf", "--A", "5", "--grid", "0:inf:3"), "QsdError"),
         (("eigen", "--grid", "1:inf:3"), "QsdError"),
+        (("laplace", "--A", "5", "--s", "1e6", "--method", "bessel"),
+         "NonConvergenceError"),
+        (("moments", "--A", "20", "--n-max", "300", "--method", "recurrence"),
+         "NonConvergenceError"),
     ], ids=["laplace-s-not-a-number", "eigen-log-grid-from-zero",
             "eigen-tol-zero", "moments-negative-order",
             "eigen-level-below-range", "cdf-level-below-range",
@@ -106,7 +111,8 @@ class TestExitCodes:
             "simulate-level-below-range", "critical-a-tol-inf",
             "eigen-tol-inf", "eigen-tol-above-default", "laplace-infinite-s",
             "laplace-moments-overflowing-s", "pdf-grid-to-infinity",
-            "eigen-grid-to-infinity"])
+            "eigen-grid-to-infinity", "laplace-bessel-overflowing-s",
+            "moments-recurrence-overflowing-order"])
     def test_bad_input_is_a_clean_failure(self, capsys, argv, error):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1
@@ -212,6 +218,26 @@ class TestMomentsAndLaplaceCommands:
         [row] = list(csv.DictReader(io.StringIO(out)))
         assert abs(float(row["ode_residual"])) < 1e-12
 
+    @pytest.mark.parametrize("s", ["1e6", "1e308"])
+    def test_refused_residual_leaves_null(self, capsys, monkeypatch, s):
+        # bessel refuses there, so the residual is not evaluated and the
+        # refused value is not asked for again; quadrature still answers
+        bessel, calls = laplace.ROUTES["bessel"], []
+
+        def counting(p_, s_):
+            calls.append(s_)
+            return bessel(p_, s_)
+
+        monkeypatch.setitem(laplace.ROUTES, "bessel", counting)
+        code, out, _ = run_cli(capsys, "laplace", "--A", "5", "--s", s,
+                               "--format", "json")
+        assert code == 0
+        [row] = json.loads(out)
+        assert row["quadrature"] == 0.0
+        assert row["bessel"] is None
+        assert row["ode_residual"] is None
+        assert calls == [float(s)]
+
     def test_limit_check_gap_shrinks(self, capsys):
         code, out, _ = run_cli(capsys, "laplace", "--s", "1", "--limit-check")
         assert code == 0
@@ -245,6 +271,15 @@ class TestMomentsAndLaplaceCommands:
         code, _, err = run_cli(capsys, "laplace", "--s", "0.1:5:3", "--limit-check")
         assert code == 1
         assert json.loads(err)["error"] == "QsdError"
+
+
+# the reproduce CSVs at the default precision; a change must keep their bytes
+GOLDEN = pathlib.Path(__file__).parent / "data"
+
+
+def assert_golden(path):
+    path = pathlib.Path(path)
+    assert path.read_bytes() == (GOLDEN / path.name).read_bytes()
 
 
 SMALL_RUN = ("--A", "2", "--paths", "2000", "--dt", "1e-3", "--horizon", "3")
@@ -307,6 +342,7 @@ class TestReproduce:
                                "--out-dir", str(tmp_path))
         assert code == 0
         path = out.strip()
+        assert_golden(path)
         rows = list(csv.DictReader(open(path)))
         assert len(rows) == 10
         col1 = [float(r["A1"]) for r in rows]
@@ -318,6 +354,7 @@ class TestReproduce:
         code, out, _ = run_cli(capsys, "reproduce", "fig1",
                                "--out-dir", str(tmp_path))
         assert code == 0
+        assert_golden(out.strip())
         rows = list(csv.DictReader(open(out.strip())))
         As = [float(r["A"]) for r in rows]
         m1 = [float(r["M1"]) for r in rows]
@@ -343,10 +380,17 @@ class TestReproduce:
         assert len(set(calls)) == 5
         assert row[-1] == laplace.ode_residual(p, s)
 
+    def test_laplace_table_is_byte_identical(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, "reproduce", "laplace-table",
+                               "--out-dir", str(tmp_path))
+        assert code == 0
+        assert_golden(out.strip())
+
     def test_bounds_table(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "reproduce", "bounds",
                                "--out-dir", str(tmp_path))
         assert code == 0
+        assert_golden(out.strip())
         rows = list(csv.DictReader(open(out.strip())))
         assert len(rows) == 25
         for r in rows:

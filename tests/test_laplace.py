@@ -57,6 +57,14 @@ class TestBasicProperties:
             laplace_kdf2(p, 1e-9)
         assert math.isfinite(laplace_moment_series(p, 1e-9).value)
 
+    @pytest.mark.parametrize("A", [1.0, 5.0, 20.0])
+    def test_bessel_refuses_where_it_leaves_float_range(self, params_for, A):
+        # from u = 2 sqrt(2s) ~ 710 on, I(u) overflows and K(u) underflows
+        p = params_for(A)
+        assert math.isfinite(laplace_bessel(p, 6e4).value)
+        with pytest.raises(NonConvergenceError, match="s=64000.0"):
+            laplace_bessel(p, 6.4e4)
+
     def test_unknown_method_rejected(self, params_for):
         with pytest.raises(ValueError):
             evaluate(params_for(5.0), 1.0, "fourier")

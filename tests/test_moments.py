@@ -101,20 +101,14 @@ class TestQuadratureRoute:
         got = moments_quadrature(p, 10).values
         assert [v.hex() for v in got] == [v.hex() for v in want]
 
-    def test_each_node_evaluated_once_per_call(self, params_for, monkeypatch):
+    def test_each_node_evaluated_once_per_call(self, params_for, whitw_calls):
         p = params_for(3.0)
-        calls = Counter()
-
-        def counted(p_, x):
-            calls[x] += 1
-            return qsd_pdf(p_, x)
-
-        monkeypatch.setattr(moments, "qsd_pdf", counted)
+        whitw_calls.clear()
         moments_quadrature(p, 10)
-        assert set(calls.values()) == {1}
+        assert set(Counter(whitw_calls).values()) == {1}
         # the memo lives only for one call: a second call pays again
         moments_quadrature(p, 10)
-        assert set(calls.values()) == {2}
+        assert set(Counter(whitw_calls).values()) == {2}
 
 
 class TestDispatcher:

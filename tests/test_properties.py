@@ -38,7 +38,7 @@ def finite_or_refused(label, evaluate):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(A=levels, x_share=st.floats(0.0, 1.0), n=st.integers(0, 10),
+@given(A=levels, x_share=st.floats(0.0, 1.0), n=st.integers(0, 400),
        s=st.floats(0.0, 10.0))
 def test_finite_value_or_qsd_error(params_for, A, x_share, n, s):
     p = params_for(A)

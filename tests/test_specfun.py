@@ -331,7 +331,7 @@ class TestGammaMemo:
     @pytest.mark.parametrize("A", [5.0, 20.0], ids=["imaginary-xi", "real-xi"])
     def test_every_value_is_bitwise_the_unmemoised_one(self, monkeypatch, A):
         memoised = self._route_values(A)
-        monkeypatch.setattr(specfun, "gamma_memo", contextlib.nullcontext)
+        monkeypatch.setattr(specfun, "memo", contextlib.nullcontext)
         assert self._route_values(A) == memoised
 
     def test_one_moment_table_computes_each_gamma_once(self, gamma_calls):
@@ -342,7 +342,7 @@ class TestGammaMemo:
         assert len(set(gamma_calls)) == len(gamma_calls)
 
     def test_nothing_outlives_a_block(self, gamma_calls):
-        with specfun.gamma_memo():
+        with specfun.memo():
             whittaker_w(1.0, self.ORDER, 0.7)
         gamma_calls.clear()
         whittaker_w(1.0, self.ORDER, 0.7)
@@ -352,10 +352,10 @@ class TestGammaMemo:
         assert len(gamma_calls) == 2 * first
 
     def test_a_nested_block_reuses_the_outer_memo(self, gamma_calls):
-        with specfun.gamma_memo():
+        with specfun.memo():
             whittaker_w(1.0, self.ORDER, 0.7)
             computed = len(gamma_calls)
-            with specfun.gamma_memo():
+            with specfun.memo():
                 whittaker_w(1.0, self.ORDER, 0.8)
                 whittaker_w(1.0, self.ORDER, 0.7)
             whittaker_w(1.0, self.ORDER, 0.7)
@@ -363,12 +363,49 @@ class TestGammaMemo:
         assert len(gamma_calls) == computed
 
     def test_errors_and_keyword_calls_pass_through(self, gamma_calls):
-        with specfun.gamma_memo():
+        with specfun.memo():
             for _ in range(2):
                 with pytest.raises(ValueError):
                     specfun.MP.gamma(0)
             assert specfun.MP.gamma(2.5, prec=80) == specfun.MP.gamma(2.5, prec=80)
         assert len(gamma_calls) == 4
+
+    def test_a_repeated_whittaker_w_computes_once(self, whitw_calls):
+        with specfun.memo():
+            first = whittaker_w(1.0, self.ORDER, 0.7)
+            # the order's sign is immaterial, so the key is canonical
+            again = whittaker_w(1.0, OrderParam.imaginary(-0.9), 0.7)
+        assert again == first
+        assert len(whitw_calls) == 1
+        whittaker_w(1.0, self.ORDER, 0.7)
+        assert len(whitw_calls) == 2
+
+    def test_a_repeated_evaluate_computes_once(self, params_for, monkeypatch):
+        p, route, calls = params_for(5.0), laplace.ROUTES["kdf1"], []
+
+        def counting(p_, s_):
+            calls.append(s_)
+            return route(p_, s_)
+
+        monkeypatch.setitem(laplace.ROUTES, "kdf1", counting)
+        with specfun.memo():
+            first = laplace.evaluate(p, 0.5, "kdf1")
+            assert laplace.evaluate(p, 0.5, "kdf1") is first
+        assert calls == [0.5]
+
+    def test_a_raising_whittaker_w_is_computed_again(self, monkeypatch):
+        calls = []
+
+        def refusing(*args):
+            calls.append(args)
+            raise NoConvergence("whitw")
+
+        monkeypatch.setattr(specfun.MP, "whitw", refusing)
+        with specfun.memo():
+            for _ in range(2):
+                with pytest.raises(NonConvergenceError):
+                    whittaker_w(1.0, self.ORDER, 0.7)
+        assert len(calls) == 2
 
 
 def _kampe_brute(a1, a2, b1, b2, u, v, n=200):
