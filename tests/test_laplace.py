@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from shiryaev_qsd import laplace
+from shiryaev_qsd import laplace, specfun
 from shiryaev_qsd.errors import DomainError, NonConvergenceError
 from shiryaev_qsd.laplace import (
     METHODS,
@@ -123,6 +123,23 @@ class TestSeriesRefusal:
         p = params_for(200.0)
         ref = laplace_quadrature(p, 5.0).value
         assert laplace_bessel(p, 5.0).value == pytest.approx(ref, rel=1e-7)
+
+    @pytest.mark.parametrize("route, budget, what", [
+        ("moments", 33, "moment series"),
+        ("kdf1", 479, "double series"),
+        ("kdf2", 537, "double series"),
+    ])
+    def test_the_smallest_term_budget_that_answers(self, params_for, monkeypatch,
+                                                   route, budget, what):
+        # every inner sum of a double series draws on one budget
+        p = params_for(5.0)
+        want = laplace.ROUTES[route](p, 1.0).value
+        monkeypatch.setattr(specfun, "SERIES_MAX_TERMS", budget)
+        assert laplace.ROUTES[route](p, 1.0).value.hex() == want.hex()
+        monkeypatch.setattr(specfun, "SERIES_MAX_TERMS", budget - 1)
+        with pytest.raises(NonConvergenceError,
+                           match=f"^{what} exceeded {budget - 1} terms$"):
+            laplace.ROUTES[route](p, 1.0)
 
 
 class TestStationaryLimit:
