@@ -125,9 +125,10 @@ def _params(A):
 def laplace_row(p, s, methods):
     """The named routes' values at s, their max relative spread and the
     bessel route's ODE residual.  A refusing route gives NaN; when every
-    route refuses, the first refusal is raised.  The residual shares the
-    row's memo block, so it reuses the row's bessel value at s; it is NaN
-    when that value or the residual itself is refused."""
+    route refuses, the first refusal is raised.  The spread is NaN with
+    fewer than two values.  The residual shares the row's memo block, so
+    it reuses the row's bessel value at s; it is NaN when the row has no
+    bessel value or the residual itself is refused."""
     vals, refusals = [], []
     with specfun.memo():
         for m in methods:
@@ -138,19 +139,20 @@ def laplace_row(p, s, methods):
                 refusals.append(exc)
         if len(refusals) == len(methods):
             raise refusals[0]
-        ok = [v for v in vals if not math.isnan(v)]
-        spread = moments.max_rel_spread(ok) if len(ok) > 1 else 0.0
-        resid = 0.0 if s == 0 else math.nan
+        spread = moments.max_rel_spread([v for v in vals if not math.isnan(v)])
+        resid = math.nan
         # a refusal is never memoised: do not repeat a refused bessel value
-        if s > 0 and not math.isnan(dict(zip(methods, vals)).get("bessel", 0.0)):
+        if not math.isnan(dict(zip(methods, vals)).get("bessel", math.nan)):
             try:
-                resid = laplace.ode_residual(p, s, method="bessel")
+                resid = laplace.ode_residual(p, s, method="bessel") if s > 0 else 0.0
             except QsdError:
                 pass
     return vals + [spread, resid]
 
 
 def cmd_eigen(args, out: Output):
+    if args.log and args.grid is None:
+        raise QsdError("--log needs --grid")
     if args.grid is not None:
         grid = parse_grid(args.grid)
         if args.log:
@@ -212,6 +214,9 @@ def cmd_laplace(args, out: Output):
     if args.limit_check:
         if ":" in args.s:
             raise QsdError("--limit-check needs a scalar --s")
+        if args.method not in ("all", "bessel"):
+            raise QsdError(f"--limit-check runs the bessel route only, "
+                           f"got --method {args.method}")
         s = svals[0]
         target = laplace.stationary_laplace(s)
         rows = []

@@ -23,6 +23,7 @@ from scipy.special import kv
 from . import numerics, specfun
 from .distribution import QsdParams, qsd_pdf
 from .errors import DomainError, NonConvergenceError
+from .moments import moment_recurrence
 from .specfun import MP, bessel_i, bessel_k, kampe_de_feriet, weber_incomplete
 
 # kdf2 refuses 0 < s below this: the cancellation in F - e^{-sA} costs
@@ -64,33 +65,20 @@ def laplace_moment_series(p: QsdParams, s: float) -> LaplaceEval:
     cancellation (the partial terms peak near exp(sA))."""
     _check_s(s)
     lam, A = p.eigen.lam, p.eigen.A
-    if s == 0.0:
-        return LaplaceEval(s, A, 1.0, "moments")
     peak = s * A / math.log(10.0)
     dps = specfun.series_dps(peak, f"moment series at s={s}, A={A}")
     with MP.workdps(dps):
-        lam_m, A_m, s_m = MP.mpf(lam), MP.mpf(A), MP.mpf(s)
-        tol = MP.mpf(specfun.SERIES_REL_TOL)
-        total = MP.mpf(0)
-        moment = MP.mpf(1)
-        coeff = MP.mpf(1)  # (-s)^n / n!
-        n = 0
-        small = 0
-        while True:
-            term = coeff * moment
-            total += term
-            if n > s * A and abs(term) <= tol * (abs(total) + 1):
-                small += 1
-                if small >= 3:
-                    break
-            else:
-                small = 0
-            if n + 1 >= specfun.SERIES_MAX_TERMS:
-                raise NonConvergenceError(
-                    f"moment series exceeded {specfun.SERIES_MAX_TERMS} terms")
-            n += 1
-            moment = (lam_m * A_m**n - n * moment) / (n * (n - 1) / 2 + lam_m)
-            coeff *= -s_m / n
+        s_m = MP.mpf(s)
+
+        def terms():
+            coeff = MP.mpf(1)  # (-s)^n / n!
+            for n, moment in zip(specfun.term_budget("moment series"),
+                                 moment_recurrence(MP.mpf(lam), MP.mpf(A))):
+                yield coeff * moment
+                coeff *= -s_m / (n + 1)
+
+        total = specfun.sum_series(terms(), MP.mpf(specfun.SERIES_REL_TOL), 1,
+                                   after=s * A)
         value = float(total)
     return LaplaceEval(s, A, value, "moments")
 

@@ -12,6 +12,7 @@ are even in xi by construction.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -53,17 +54,20 @@ def _finite_series(p: QsdParams, n_max: int, method: str, values) -> MomentSerie
     return MomentSeries(p, n_max, tuple(vals), method)
 
 
-def moments_recurrence(p: QsdParams, n_max: int) -> MomentSeries:
-    """Forward iteration of the defining recurrence."""
-    lam, A = p.eigen.lam, p.eigen.A
-
-    def values():
-        m = 1.0
+def moment_recurrence(lam, A):
+    """M_0, M_1, ... by forward iteration of the defining recurrence, in
+    the arithmetic of lam and A (float, or mpf at the caller's digits)."""
+    m = A**0
+    yield m
+    for n in itertools.count(1):
+        m = (lam * A**n - n * m) / (n * (n - 1) / 2 + lam)
         yield m
-        for n in range(1, n_max + 1):
-            m = (lam * A**n - n * m) / (n * (n - 1) / 2.0 + lam)
-            yield m
-    return _finite_series(p, n_max, "recurrence", values())
+
+
+def moments_recurrence(p: QsdParams, n_max: int) -> MomentSeries:
+    """The first n_max + 1 moments of the recurrence, in float."""
+    moments = zip(range(n_max + 1), moment_recurrence(p.eigen.lam, p.eigen.A))
+    return _finite_series(p, n_max, "recurrence", (m for _, m in moments))
 
 
 def moment_2f2(p: QsdParams, n: int) -> float:
@@ -143,8 +147,11 @@ def moment_series(p: QsdParams, n_max: int, method: str = "recurrence") -> Momen
 
 
 def max_rel_spread(values) -> float:
-    """Max pairwise relative spread of a set of same-quantity estimates."""
+    """Max pairwise relative spread of a set of same-quantity estimates;
+    NaN for fewer than two, which leave nothing to compare."""
     vals = list(values)
+    if len(vals) < 2:
+        return math.nan
     scale = max(abs(v) for v in vals)
     if scale == 0.0:
         return 0.0

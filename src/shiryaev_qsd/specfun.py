@@ -21,6 +21,7 @@ is open.
 from __future__ import annotations
 
 import contextvars
+import itertools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -202,6 +203,34 @@ def series_dps(peak: float, what: str) -> int:
     return dps
 
 
+def term_budget(what: str):
+    """Term indices 0 .. SERIES_MAX_TERMS - 1; the draw after the last
+    raises NonConvergenceError naming ``what``."""
+    limit = SERIES_MAX_TERMS
+    yield from range(limit)
+    raise NonConvergenceError(f"{what} exceeded {limit} terms")
+
+
+def sum_series(terms, tol, floor=0, after=-1):
+    """Sum of ``terms`` in order, stopped at the third consecutive term
+    past index ``after`` with |term| <= tol (|partial sum| + floor).
+    Three in a row, because sign flips give isolated near-zero terms.
+    ``terms`` never runs out; a term_budget bounds it."""
+    total = small = 0
+    for i, term in enumerate(terms):
+        total += term
+        negligible = i > after and abs(term) <= tol * (abs(total) + floor)
+        small = small + 1 if negligible else 0
+        if small == 3:
+            return total
+
+
+def _check_lower_parameters(*bs):
+    for b in bs:
+        if _is_nonpositive_integer(b):
+            raise DenominatorPoleError(f"lower parameter pole at {b}")
+
+
 def hyp2f2(a1, a2, b1, b2, z) -> complex:
     """Terminating generalized hypergeometric series with two upper and
     two lower parameters, sum_n (a1)_n (a2)_n / ((b1)_n (b2)_n) z^n / n!.
@@ -210,9 +239,7 @@ def hyp2f2(a1, a2, b1, b2, z) -> complex:
     the exact polynomial of degree N in z (the smallest such N when both
     are); otherwise the parameters are refused with DomainError.
     """
-    for b in (b1, b2):
-        if _is_nonpositive_integer(b):
-            raise DenominatorPoleError(f"lower parameter pole at {b}")
+    _check_lower_parameters(b1, b2)
     degrees = [int(-complex(a).real) for a in (a1, a2) if _is_nonpositive_integer(a)]
     if not degrees:
         raise DomainError(
@@ -281,9 +308,7 @@ def kampe_de_feriet(a1, a2, b1, b2, u: float, v: float) -> float:
     NonConvergenceError when the required precision or term budget is
     exceeded.
     """
-    for b in (b1, b2):
-        if _is_nonpositive_integer(b):
-            raise DenominatorPoleError(f"lower parameter pole at {b}")
+    _check_lower_parameters(b1, b2)
     if not (math.isfinite(u) and math.isfinite(v)):
         raise EvaluationDomainError("u and v must be finite")
 
@@ -295,55 +320,32 @@ def kampe_de_feriet(a1, a2, b1, b2, u: float, v: float) -> float:
     with MP.workdps(dps), memo():
         a1m, a2m, b1m, b2m = (MP.mpmathify(complex(t)) for t in (a1, a2, b1, b2))
         um, vm = MP.mpf(u), MP.mpf(v)
-        tol = MP.mpf(SERIES_REL_TOL)
         # rows near the peak exceed the final sum by ~exp(|u|), so any
         # truncation residue left inside a row survives the cancellation;
-        # inner sums therefore run to working precision, not to rel_tol
+        # inner sums therefore run to working precision, not to rel_tol,
+        # and with no floor: |inner| itself is super-exponentially small
+        # at large i and a floor would declare every term negligible
         inner_tol = MP.mpf(10) ** (5 - dps)
-        total = MP.mpc(0)
-        row_coef = MP.mpc(1)  # (a1)_i (a2)_i u^i / i!
-        terms_used = 0
-        row_small = 0
-        i = 0
-        while True:
-            # inner sum over j at fixed i, Pochhammers advanced in place
-            denom = MP.rf(b1m, i) * MP.rf(b2m, i)
-            term = 1 / denom
-            inner = MP.mpc(0)
-            small = 0
-            j = 0
-            while True:
-                inner += term
-                terms_used += 1
-                # no absolute floor here: |inner| itself is super-
-                # exponentially small at large i and an additive floor
-                # would declare every term negligible
-                if abs(term) <= inner_tol * abs(inner):
-                    small += 1
-                    if small >= 3:
-                        break
-                else:
-                    small = 0
-                if terms_used >= SERIES_MAX_TERMS:
-                    raise NonConvergenceError(
-                        f"double series exceeded {SERIES_MAX_TERMS} terms"
-                    )
+        budget = term_budget("double series")  # shared by every inner sum
+
+        def inner(i):
+            # the sum over j at fixed i, Pochhammers advanced in place
+            term = 1 / (MP.rf(b1m, i) * MP.rf(b2m, i))
+            for j in itertools.count():
+                next(budget)
+                yield term
                 term = term * vm / ((b1m + i + j) * (b2m + i + j))
-                j += 1
-            row = row_coef * inner
-            total += row
-            # partial sums track the current row through the cancellation
-            # regime, so small rows are only trusted past the peak at
-            # i ~ |u|, and only three in a row (sign flips give isolated
-            # near-zero dips)
-            if i > abs(u) and abs(row) <= tol * (abs(total) + MP.mpf("1e-300")):
-                row_small += 1
-                if row_small >= 3:
-                    break
-            else:
-                row_small = 0
-            row_coef = row_coef * (a1m + i) * (a2m + i) * um / (i + 1)
-            i += 1
+
+        def rows():
+            row_coef = MP.mpc(1)  # (a1)_i (a2)_i u^i / i!
+            for i in itertools.count():
+                yield row_coef * sum_series(inner(i), inner_tol)
+                row_coef = row_coef * (a1m + i) * (a2m + i) * um / (i + 1)
+
+        # partial sums track the current row through the cancellation
+        # regime, so small rows are only trusted past the peak at i ~ |u|
+        total = sum_series(rows(), MP.mpf(SERIES_REL_TOL), MP.mpf("1e-300"),
+                           after=abs(u))
         return as_real(complex(total))
 
 

@@ -104,6 +104,9 @@ class TestExitCodes:
          "NonConvergenceError"),
         (("moments", "--A", "20", "--n-max", "300", "--method", "recurrence"),
          "NonConvergenceError"),
+        (("eigen", "--A", "2", "--log"), "QsdError"),
+        (("laplace", "--s", "1", "--limit-check", "--method", "quadrature"),
+         "QsdError"),
     ], ids=["laplace-s-not-a-number", "eigen-log-grid-from-zero",
             "eigen-tol-zero", "moments-negative-order",
             "eigen-level-below-range", "cdf-level-below-range",
@@ -112,7 +115,8 @@ class TestExitCodes:
             "eigen-tol-inf", "eigen-tol-above-default", "laplace-infinite-s",
             "laplace-moments-overflowing-s", "pdf-grid-to-infinity",
             "eigen-grid-to-infinity", "laplace-bessel-overflowing-s",
-            "moments-recurrence-overflowing-order"])
+            "moments-recurrence-overflowing-order", "eigen-log-without-grid",
+            "laplace-limit-check-with-another-route"])
     def test_bad_input_is_a_clean_failure(self, capsys, argv, error):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1
@@ -237,6 +241,37 @@ class TestMomentsAndLaplaceCommands:
         assert row["bessel"] is None
         assert row["ode_residual"] is None
         assert calls == [float(s)]
+
+    @pytest.mark.parametrize("argv", [
+        ("laplace", "--A", "5", "--s", "1", "--method", "kdf1"),
+        ("laplace", "--A", "5", "--s", "1e6"),
+        ("moments", "--A", "5", "--n-max", "2", "--method", "2f2"),
+    ], ids=["laplace-one-method", "laplace-one-route-answers", "moments-one-method"])
+    def test_a_single_value_has_no_spread(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        rows = json.loads(out)
+        assert rows and all(r["max_rel_spread"] is None for r in rows)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert rows and all(r["max_rel_spread"] == "nan" for r in rows)
+
+    def test_residual_needs_the_bessel_route(self, capsys, monkeypatch):
+        bessel, calls = laplace.ROUTES["bessel"], []
+
+        def counting(p_, s_):
+            calls.append(s_)
+            return bessel(p_, s_)
+
+        monkeypatch.setitem(laplace.ROUTES, "bessel", counting)
+        code, out, _ = run_cli(capsys, "laplace", "--A", "5", "--s", "1",
+                               "--method", "kdf1", "--format", "json")
+        assert code == 0
+        [row] = json.loads(out)
+        assert row["kdf1"] > 0
+        assert row["max_rel_spread"] is None and row["ode_residual"] is None
+        assert calls == []
 
     def test_limit_check_gap_shrinks(self, capsys):
         code, out, _ = run_cli(capsys, "laplace", "--s", "1", "--limit-check")
