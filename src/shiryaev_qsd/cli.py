@@ -150,6 +150,19 @@ def laplace_row(p, s, methods):
     return vals + [spread, resid]
 
 
+EIGEN_HEADER = ["A", "lower_bound", "lambda", "upper_bound", "xi_kind", "xi"]
+
+
+def eigen_rows(levels):
+    """One EIGEN_HEADER row per level."""
+    rows = []
+    for A in map(float, levels):
+        sol = eigen.principal_lambda(A)
+        lo, hi = eigen.lambda_bounds(A)
+        rows.append([A, lo, sol.lam, hi, sol.xi.kind, sol.xi.magnitude])
+    return rows
+
+
 def cmd_eigen(args, out: Output):
     if args.log and args.grid is None:
         raise QsdError("--log needs --grid")
@@ -159,23 +172,16 @@ def cmd_eigen(args, out: Output):
             if not grid[0] > 0:
                 raise QsdError(f"a log grid needs lo > 0, got {args.grid!r}")
             grid = np.geomspace(grid[0], grid[-1], grid.size)
-        rows = []
-        for A in grid:
-            sol = eigen.principal_lambda(float(A), args.tol)
-            lo, hi = eigen.lambda_bounds(float(A))
-            rows.append([sol.A, lo, sol.lam, hi, sol.xi.kind, sol.xi.magnitude])
-        out.emit_rows(["A", "lower_bound", "lambda", "upper_bound",
-                       "xi_kind", "xi"], rows)
+        out.emit_rows(EIGEN_HEADER, eigen_rows(grid))
     else:
-        sol = eigen.principal_lambda(args.A, args.tol)
+        sol = eigen.principal_lambda(args.A)
         out.emit_record({"A": sol.A, "lambda": sol.lam, "xi_kind": sol.xi.kind,
                          "xi": sol.xi.magnitude, "residual": sol.residual})
     return 0
 
 
 def cmd_critical_a(args, out: Output):
-    A = eigen.critical_A(args.tol)
-    out.emit_record({"critical_A": A})
+    out.emit_record({"critical_A": eigen.critical_A()})
     return 0
 
 
@@ -299,12 +305,7 @@ def fig2_table():
 
 
 def bounds_table():
-    rows = []
-    for A in np.geomspace(0.5, 200.0, 25):
-        sol = eigen.principal_lambda(float(A))
-        lo, hi = eigen.lambda_bounds(float(A))
-        rows.append([float(A), lo, sol.lam, hi])
-    return ["A", "lower_bound", "lambda", "upper_bound"], rows
+    return EIGEN_HEADER[:4], [r[:4] for r in eigen_rows(np.geomspace(0.5, 200.0, 25))]
 
 
 def laplace_table():
@@ -359,14 +360,10 @@ def build_parser():
     level.add_argument("--A", type=float)
     level.add_argument("--grid", help="lo:hi:n sweep over A")
     sp.add_argument("--log", action="store_true", help="log-space the sweep")
-    sp.add_argument("--tol", type=float, default=eigen.DEFAULT_TOL,
-                    help="relative root tolerance in (0, %(default)g]; a looser "
-                         "one is refused")
     common(sp)
     sp.set_defaults(run=cmd_eigen, format="json")
 
     sp = sub.add_parser("critical-a", help="level where lambda_A = 1/8")
-    sp.add_argument("--tol", type=float, default=eigen.DEFAULT_TOL)
     common(sp)
     sp.set_defaults(run=cmd_critical_a, format="json")
 

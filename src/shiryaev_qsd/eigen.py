@@ -16,7 +16,9 @@ from . import numerics, specfun
 from .errors import BracketFailure, DomainError
 from .specfun import OrderParam, whittaker_w
 
-DEFAULT_TOL = 1e-12
+# relative root tolerance of every solve; the residual guard needs
+# lambda about this close
+ROOT_TOL = 1e-12
 
 # supported absorption levels (see the README): below A_MIN the
 # normalizer e^{-1/A} W_{0,xi/2}(2/A) underflows and W stops converging;
@@ -69,20 +71,13 @@ def lambda_bounds(A: float) -> tuple[float, float]:
     return lo, hi
 
 
-def _check_tol(tol):
-    # tol is relative; from 1 up (and at inf) Brent's method can stop at
-    # a bracket end and report it as the root
-    if not 0 < tol < 1:
-        raise DomainError(f"tol must lie in (0, 1), got {tol}")
-
-
 def eigen_objective(lam: float, A: float) -> float:
     """W_{1, xi(lambda)/2}(2/A); continuous across lambda = 1/8."""
     return whittaker_w(1.0, xi_of_lambda(lam).halved(), 2.0 / A)
 
 
 @functools.lru_cache(maxsize=512)
-def principal_lambda(A: float, tol: float = DEFAULT_TOL) -> EigenSolution:
+def principal_lambda(A: float) -> EigenSolution:
     """Smallest positive eigenvalue lambda_A for absorption level A.
 
     The moment-derived bounds are strict, so the principal root is the
@@ -90,13 +85,6 @@ def principal_lambda(A: float, tol: float = DEFAULT_TOL) -> EigenSolution:
     is a BracketFailure.  [lo/4, lo] is scanned to rule out a spurious
     smaller root.
     """
-    _check_tol(tol)
-    if tol > DEFAULT_TOL:
-        # the residual guard needs the root to about this tolerance; a
-        # looser one would end in a BracketFailure that reads like a
-        # special-function defect
-        raise DomainError(f"tol must be <= {DEFAULT_TOL:g} for an eigenvalue, "
-                          f"got {tol}")
     A = float(A)
     lo, hi = lambda_bounds(A)
     f = functools.partial(eigen_objective, A=A)
@@ -130,9 +118,10 @@ def principal_lambda(A: float, tol: float = DEFAULT_TOL) -> EigenSolution:
         if f_lo == 0.0:
             lam = b_lo
         else:
-            # tol acts relative to lambda's magnitude: the absolute lambda
-            # scale spans five orders over the supported A range
-            lam = numerics.find_root(f, b_lo, b_hi, tol=tol * max(abs(b_hi), 1e-3))
+            # relative to lambda's magnitude: the absolute lambda scale
+            # spans five orders over the supported A range
+            lam = numerics.find_root(f, b_lo, b_hi,
+                                     tol=ROOT_TOL * max(abs(b_hi), 1e-3))
         residual = abs(f(lam))
         scan_scale = max(abs(f(x)) for x in grid if x <= b_hi)
         if residual > RESIDUAL_REL * scan_scale:
@@ -143,12 +132,10 @@ def principal_lambda(A: float, tol: float = DEFAULT_TOL) -> EigenSolution:
         return EigenSolution(A=A, lam=lam, xi=xi_of_lambda(lam), residual=residual)
 
 
-def critical_A(tol: float = DEFAULT_TOL) -> float:
+def critical_A() -> float:
     """Absorption level at which lambda_A = 1/8 (the xi = 0 borderline),
     i.e. the root of W_{1,0}(2/A) = 0, bracketed in [5, 20]."""
-    _check_tol(tol)
     # find_root checks the ends' signs and Brent's method evaluates them again
     with specfun.memo():
-        return numerics.find_root(
-            lambda A: whittaker_w(1.0, OrderParam.real(0.0), 2.0 / A), 5.0, 20.0,
-            tol=tol)
+        return numerics.find_root(functools.partial(eigen_objective, 0.125),
+                                  5.0, 20.0, tol=ROOT_TOL)

@@ -82,19 +82,24 @@ class TestExitCodes:
             run(list(argv))
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("eigen", "--A", "2", "--tol", "1e-13"),
+        ("critical-a", "--tol", "1e-3"),
+    ], ids=["eigen", "critical-a"])
+    def test_root_tolerance_is_not_an_option(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(list(argv))
+        assert exc.value.code == 2
+
     @pytest.mark.parametrize("argv, error", [
         (("laplace", "--A", "5", "--s", "abc"), "QsdError"),
         (("eigen", "--grid", "0:5:3", "--log"), "QsdError"),
-        (("eigen", "--A", "2", "--tol", "0"), "DomainError"),
         (("moments", "--A", "5", "--n-max", "-1"), "DomainError"),
         (("eigen", "--A", "1e-4"), "DomainError"),
         (("cdf", "--A", "1e-3", "--grid", "0.0005:0.001:2"), "DomainError"),
         (("simulate", "--A", "inf", "--horizon", "1"), "DomainError"),
         (("simulate", "--A", "2e4", "--horizon", "1"), "DomainError"),
         (("simulate", "--A", "1e-3", "--horizon", "1"), "DomainError"),
-        (("critical-a", "--tol", "inf"), "DomainError"),
-        (("eigen", "--A", "2", "--tol", "inf"), "DomainError"),
-        (("eigen", "--A", "2", "--tol", "1e-3"), "DomainError"),
         (("laplace", "--A", "5", "--s", "inf"), "DomainError"),
         (("laplace", "--A", "5", "--s", "1e308", "--method", "moments"),
          "NonConvergenceError"),
@@ -108,11 +113,10 @@ class TestExitCodes:
         (("laplace", "--s", "1", "--limit-check", "--method", "quadrature"),
          "QsdError"),
     ], ids=["laplace-s-not-a-number", "eigen-log-grid-from-zero",
-            "eigen-tol-zero", "moments-negative-order",
+            "moments-negative-order",
             "eigen-level-below-range", "cdf-level-below-range",
             "simulate-infinite-level", "simulate-level-above-range",
-            "simulate-level-below-range", "critical-a-tol-inf",
-            "eigen-tol-inf", "eigen-tol-above-default", "laplace-infinite-s",
+            "simulate-level-below-range", "laplace-infinite-s",
             "laplace-moments-overflowing-s", "pdf-grid-to-infinity",
             "eigen-grid-to-infinity", "laplace-bessel-overflowing-s",
             "moments-recurrence-overflowing-order", "eigen-log-without-grid",
