@@ -122,32 +122,36 @@ def _params(A):
     return distribution.make_params(eigen.principal_lambda(A))
 
 
-def laplace_row(p, s, methods):
-    """The named routes' values at s, their max relative spread and the
-    bessel route's ODE residual.  A refusing route gives NaN; when every
-    route refuses, the first refusal is raised.  The spread is NaN with
-    fewer than two values.  The residual shares the row's memo block, so
-    it reuses the row's bessel value at s; it is NaN when the row has no
+def laplace_rows(p, svals, methods):
+    """One row per s: the named routes' values at s, their max relative
+    spread and the bessel route's ODE residual.  A refusing route gives
+    NaN; when every route refuses, the first refusal is raised.  The
+    spread is NaN with fewer than two values.  The rows share one memo
+    block, so the level's W values are computed once and each residual
+    reuses its row's bessel value at s; it is NaN when the row has no
     bessel value or the residual itself is refused."""
-    vals, refusals = [], []
+    rows = []
     with specfun.memo():
-        for m in methods:
-            try:
-                vals.append(laplace.evaluate(p, s, m).value)
-            except QsdError as exc:
-                vals.append(math.nan)
-                refusals.append(exc)
-        if len(refusals) == len(methods):
-            raise refusals[0]
-        spread = moments.max_rel_spread([v for v in vals if not math.isnan(v)])
-        resid = math.nan
-        # a refusal is never memoised: do not repeat a refused bessel value
-        if not math.isnan(dict(zip(methods, vals)).get("bessel", math.nan)):
-            try:
-                resid = laplace.ode_residual(p, s, method="bessel") if s > 0 else 0.0
-            except QsdError:
-                pass
-    return vals + [spread, resid]
+        for s in map(float, svals):
+            vals, refusals = [], []
+            for m in methods:
+                try:
+                    vals.append(laplace.evaluate(p, s, m).value)
+                except QsdError as exc:
+                    vals.append(math.nan)
+                    refusals.append(exc)
+            if len(refusals) == len(methods):
+                raise refusals[0]
+            spread = moments.max_rel_spread([v for v in vals if not math.isnan(v)])
+            resid = math.nan
+            # a refusal is never memoised: do not repeat a refused bessel value
+            if not math.isnan(dict(zip(methods, vals)).get("bessel", math.nan)):
+                try:
+                    resid = laplace.ode_residual(p, s, method="bessel") if s > 0 else 0.0
+                except QsdError:
+                    pass
+            rows.append([s] + vals + [spread, resid])
+    return rows
 
 
 EIGEN_HEADER = ["A", "lower_bound", "lambda", "upper_bound", "xi_kind", "xi"]
@@ -233,8 +237,8 @@ def cmd_laplace(args, out: Output):
         return 0
     p = _params(args.A)
     methods = list(laplace.METHODS) if args.method == "all" else [args.method]
-    rows = [[s] + laplace_row(p, s, methods) for s in map(float, svals)]
-    out.emit_rows(["s"] + methods + ["max_rel_spread", "ode_residual"], rows)
+    out.emit_rows(["s"] + methods + ["max_rel_spread", "ode_residual"],
+                  laplace_rows(p, svals, methods))
     return 0
 
 
@@ -311,10 +315,8 @@ def bounds_table():
 def laplace_table():
     rows = []
     for A in (1.0, 5.0, 20.0):
-        p = _params(A)
-        with specfun.memo():  # the level's rows share its W values
-            for s in (0.1, 1.0, 5.0):
-                rows.append([A, s] + laplace_row(p, s, laplace.METHODS))
+        rows += [[A] + r for r in laplace_rows(_params(A), (0.1, 1.0, 5.0),
+                                               laplace.METHODS)]
     return ["A", "s"] + list(laplace.METHODS) + ["max_rel_spread", "ode_residual"], rows
 
 

@@ -61,6 +61,13 @@ class SimConfig:
             raise ConfigError(f"need 0 <= r0 < A, got r0={self.r0}, A={self.A}")
         if self.horizon is not None and not self.horizon > 0:
             raise ConfigError(f"horizon must be > 0, got {self.horizon}")
+        # simulate() rounds the horizon and the snapshot and record
+        # intervals to whole steps
+        if not math.isfinite(max(self.resolved_horizon(), SNAPSHOT_DT) / self.dt):
+            raise ConfigError(f"too many steps of dt={self.dt} for "
+                              f"horizon={self.resolved_horizon()}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def resolved_horizon(self) -> float:
         if self.horizon is not None:

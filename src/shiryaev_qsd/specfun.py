@@ -259,7 +259,7 @@ def whittaker_w(a: float, order: OrderParam, z: float) -> float:
     purely imaginary second index; real-valued for z > 0.  Even in the
     second index, which is canonicalized so that negating the order
     reproduces the value bitwise."""
-    if z <= 0:
+    if not z > 0:
         raise EvaluationDomainError(f"Whittaker W needs z > 0, got z={z}")
     return _whitw(float(a), _canonical_order(order), z)
 
@@ -273,7 +273,7 @@ _whitw = memoised(_whitw_direct, lambda *args: ("whitw", *args))
 
 
 def _bessel_complex(kind: str, order: OrderParam, z: float):
-    if z <= 0:
+    if not z > 0:
         raise EvaluationDomainError(f"modified Bessel functions need z > 0, got {z}")
     fn = MP.besseli if kind == "i" else MP.besselk
     b = _canonical_order(order)
@@ -392,8 +392,8 @@ def weber_incomplete(kind: str, u: float, level: float, order: OrderParam) -> fl
     """
     if kind not in ("I", "K"):
         raise ValueError("kind must be 'I' or 'K'")
-    if u <= 0:
-        raise DivergenceError("incomplete Weber integrals diverge at u <= 0")
+    if not u > 0:
+        raise DivergenceError(f"incomplete Weber integrals need u > 0, got u={u}")
     z = order.value
     if z.imag != 0.0:
         f, unscale = _weber_integrand_imag(kind, level, abs(z.imag))

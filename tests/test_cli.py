@@ -6,11 +6,12 @@ import csv
 import io
 import json
 import pathlib
+import shlex
 
 import pytest
 
 from shiryaev_qsd import laplace
-from shiryaev_qsd.cli import _params, build_parser, fmt, laplace_row, parse_grid, run
+from shiryaev_qsd.cli import _params, build_parser, fmt, laplace_rows, parse_grid, run
 from shiryaev_qsd.errors import QsdError
 
 
@@ -112,6 +113,15 @@ class TestExitCodes:
         (("eigen", "--A", "2", "--log"), "QsdError"),
         (("laplace", "--s", "1", "--limit-check", "--method", "quadrature"),
          "QsdError"),
+        (("simulate", "--A", "2", "--paths", "10", "--horizon", "1", "--seed", "-1"),
+         "ConfigError"),
+        (("verify", "--A", "2", "--paths", "10", "--horizon", "1", "--seed", "-1"),
+         "ConfigError"),
+        (("simulate", "--A", "2", "--paths", "10", "--horizon", "inf"), "ConfigError"),
+        (("simulate", "--A", "2", "--paths", "10", "--horizon", "1e308"),
+         "ConfigError"),
+        (("simulate", "--A", "2", "--paths", "10", "--horizon", "1", "--dt", "1e-320"),
+         "ConfigError"),
     ], ids=["laplace-s-not-a-number", "eigen-log-grid-from-zero",
             "moments-negative-order",
             "eigen-level-below-range", "cdf-level-below-range",
@@ -120,7 +130,9 @@ class TestExitCodes:
             "laplace-moments-overflowing-s", "pdf-grid-to-infinity",
             "eigen-grid-to-infinity", "laplace-bessel-overflowing-s",
             "moments-recurrence-overflowing-order", "eigen-log-without-grid",
-            "laplace-limit-check-with-another-route"])
+            "laplace-limit-check-with-another-route", "simulate-negative-seed",
+            "verify-negative-seed", "simulate-infinite-horizon",
+            "simulate-overflowing-step-count", "simulate-subnormal-step"])
     def test_bad_input_is_a_clean_failure(self, capsys, argv, error):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1
@@ -218,6 +230,13 @@ class TestMomentsAndLaplaceCommands:
         for r in rows:
             assert float(r["max_rel_spread"]) <= 1e-6
             assert abs(float(r["ode_residual"])) <= 1e-5
+
+    def test_laplace_grid_computes_each_w_value_once(self, capsys, whitw_calls):
+        # the grid's rows share one memo block
+        code, _, _ = run_cli(capsys, "laplace", "--A", "5", "--s", "0.5:2:3")
+        assert code == 0
+        assert whitw_calls
+        assert len(whitw_calls) == len(set(whitw_calls))
 
     def test_residual_below_the_default_step(self, capsys):
         # s < 1e-4: the residual's stencil step is capped at s
@@ -414,7 +433,7 @@ class TestReproduce:
             return bessel(p_, s_)
 
         monkeypatch.setitem(laplace.ROUTES, "bessel", counting)
-        row = laplace_row(p, s, laplace.METHODS)
+        [row] = laplace_rows(p, [s], laplace.METHODS)
         assert len(calls) == 5
         assert len(set(calls)) == 5
         assert row[-1] == laplace.ode_residual(p, s)
@@ -436,8 +455,24 @@ class TestReproduce:
             assert float(r["lower_bound"]) < float(r["lambda"]) < float(r["upper_bound"])
 
 
-def test_parser_lists_all_subcommands():
+def subcommands():
     sub = next(a for a in build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
-    assert set(sub.choices) == {"eigen", "critical-a", "pdf", "cdf", "moments",
-                                "laplace", "simulate", "verify", "reproduce"}
+    return set(sub.choices)
+
+
+def test_parser_lists_all_subcommands():
+    assert subcommands() == {"eigen", "critical-a", "pdf", "cdf", "moments",
+                             "laplace", "simulate", "verify", "reproduce"}
+
+
+def test_readme_cli_examples_parse():
+    # the README's CLI block, parsed but not run
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    argvs = [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+             if line.startswith("shiryaev-qsd ")]
+    parser = build_parser()
+    for argv in argvs:
+        parser.parse_args(argv)
+    assert {argv[0] for argv in argvs} == subcommands()

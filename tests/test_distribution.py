@@ -14,6 +14,7 @@ from shiryaev_qsd.distribution import (
     stationary_pdf,
 )
 from shiryaev_qsd.eigen import EigenSolution, principal_lambda
+from shiryaev_qsd.errors import EvaluationDomainError
 from shiryaev_qsd.numerics import integrate
 from shiryaev_qsd.specfun import OrderParam
 
@@ -66,6 +67,10 @@ class TestQsdPdf:
             res = integrate(lambda x: qsd_pdf(p, x), 0.0, A, tol=1e-11)
             assert res.value == pytest.approx(1.0, abs=1e-8)
 
+    def test_nan_point_is_refused(self, params_for):
+        with pytest.raises(EvaluationDomainError):
+            qsd_pdf(params_for(5.0), math.nan)
+
 
 class TestQsdCdf:
     def test_boundary_values(self, params_for):
@@ -74,6 +79,10 @@ class TestQsdCdf:
         assert qsd_cdf(p, 7.0) == 1.0
         assert qsd_cdf(p, 0.0) == 0.0
         assert qsd_cdf(p, -2.0) == 0.0
+
+    def test_nan_point_is_refused(self, params_for):
+        with pytest.raises(EvaluationDomainError):
+            qsd_cdf(params_for(5.0), math.nan)
 
     def test_monotone_nondecreasing(self, params_for):
         p = params_for(5.0)

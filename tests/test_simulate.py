@@ -49,6 +49,10 @@ class TestSimConfig:
             SimConfig(A=2.0, r0=2.0)
         with pytest.raises(ConfigError):
             SimConfig(A=2.0, horizon=-1.0)
+        with pytest.raises(ConfigError):
+            SimConfig(A=2.0, seed=-1)
+        with pytest.raises(ConfigError):
+            SimConfig(A=2.0, horizon=math.inf)
 
     def test_default_horizon_scales_with_decay_time(self):
         assert default_horizon(2.0) == pytest.approx(20.0 / (0.5 + 1.0 / 6.0))

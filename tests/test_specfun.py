@@ -147,6 +147,8 @@ class TestWhittakerW:
     def test_nonpositive_argument_raises(self):
         with pytest.raises(EvaluationDomainError):
             whittaker_w(0.5, OrderParam.real(0.3), 0.0)
+        with pytest.raises(EvaluationDomainError):
+            whittaker_w(0.5, OrderParam.real(0.3), math.nan)
 
     def test_matches_inward_ode_integration_from_asymptotics(self):
         from scipy.integrate import solve_ivp
@@ -262,6 +264,8 @@ class TestBessel:
             bessel_i(OrderParam.real(0.5), 0.0)
         with pytest.raises(EvaluationDomainError):
             bessel_k(OrderParam.real(0.5), -1.0)
+        with pytest.raises(EvaluationDomainError):
+            bessel_k(OrderParam.imaginary(0.5), math.nan)
 
 
 class TestMpmathFailures:
@@ -484,6 +488,8 @@ class TestWeberIncomplete:
             weber_incomplete("I", 0.0, 2.0, OrderParam.real(0.3))
         with pytest.raises(DivergenceError):
             weber_incomplete("K", -1.0, 2.0, OrderParam.real(0.3))
+        with pytest.raises(DivergenceError):
+            weber_incomplete("K", math.nan, 2.0, OrderParam.imaginary(0.3))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
