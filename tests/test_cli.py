@@ -76,18 +76,11 @@ class TestExitCodes:
         ("eigen", "--A", "2", "--grid", "1:2:2"),
         ("laplace", "--A", "2", "--s", "1", "--limit-check"),
         ("moments", "--n-max", "3"),
-    ], ids=["eigen-level-and-grid", "laplace-level-and-limit-check",
-            "moments-without-level"])
-    def test_conflicting_or_missing_level_is_usage_error(self, capsys, argv):
-        with pytest.raises(SystemExit) as exc:
-            run(list(argv))
-        assert exc.value.code == 2
-
-    @pytest.mark.parametrize("argv", [
         ("eigen", "--A", "2", "--tol", "1e-13"),
         ("critical-a", "--tol", "1e-3"),
-    ], ids=["eigen", "critical-a"])
-    def test_root_tolerance_is_not_an_option(self, capsys, argv):
+    ], ids=["eigen-level-and-grid", "laplace-level-and-limit-check",
+            "moments-without-level", "eigen-tolerance", "critical-a-tolerance"])
+    def test_conflicting_or_missing_level_is_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             run(list(argv))
         assert exc.value.code == 2
@@ -222,7 +215,7 @@ class TestMomentsAndLaplaceCommands:
         for r in rows:
             assert float(r["max_rel_spread"]) <= 1e-8
 
-    def test_laplace_grid_with_spread_and_residual(self, capsys):
+    def test_laplace_grid_with_spread_and_residual(self, capsys, whitw_calls):
         code, out, _ = run_cli(capsys, "laplace", "--A", "5", "--s", "0.5:2:3")
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(out)))
@@ -230,11 +223,7 @@ class TestMomentsAndLaplaceCommands:
         for r in rows:
             assert float(r["max_rel_spread"]) <= 1e-6
             assert abs(float(r["ode_residual"])) <= 1e-5
-
-    def test_laplace_grid_computes_each_w_value_once(self, capsys, whitw_calls):
-        # the grid's rows share one memo block
-        code, _, _ = run_cli(capsys, "laplace", "--A", "5", "--s", "0.5:2:3")
-        assert code == 0
+        # the grid's rows share one memo block: no W value is computed twice
         assert whitw_calls
         assert len(whitw_calls) == len(set(whitw_calls))
 
