@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from . import distribution, eigen, laplace, moments, specfun
+from . import distribution, eigen, laplace, moments
 from .errors import QsdError
 from .simulate import SimConfig, compare_to_analytic, simulate
 
@@ -126,31 +126,30 @@ def laplace_rows(p, svals, methods):
     """One row per s: the named routes' values at s, their max relative
     spread and the bessel route's ODE residual.  A refusing route gives
     NaN; when every route refuses, the first refusal is raised.  The
-    spread is NaN with fewer than two values.  The rows share one memo
-    block, so the level's W values are computed once and each residual
+    spread is NaN with fewer than two values.  The rows share p's memo
+    store, so the level's W values are computed once and each residual
     reuses its row's bessel value at s; it is NaN when the row has no
     bessel value or the residual itself is refused."""
     rows = []
-    with specfun.memo():
-        for s in map(float, svals):
-            vals, refusals = [], []
-            for m in methods:
-                try:
-                    vals.append(laplace.evaluate(p, s, m).value)
-                except QsdError as exc:
-                    vals.append(math.nan)
-                    refusals.append(exc)
-            if len(refusals) == len(methods):
-                raise refusals[0]
-            spread = moments.max_rel_spread([v for v in vals if not math.isnan(v)])
-            resid = math.nan
-            # a refusal is never memoised: do not repeat a refused bessel value
-            if not math.isnan(dict(zip(methods, vals)).get("bessel", math.nan)):
-                try:
-                    resid = laplace.ode_residual(p, s, method="bessel") if s > 0 else 0.0
-                except QsdError:
-                    pass
-            rows.append([s] + vals + [spread, resid])
+    for s in map(float, svals):
+        vals, refusals = [], []
+        for m in methods:
+            try:
+                vals.append(laplace.evaluate(p, s, m).value)
+            except QsdError as exc:
+                vals.append(math.nan)
+                refusals.append(exc)
+        if len(refusals) == len(methods):
+            raise refusals[0]
+        spread = moments.max_rel_spread([v for v in vals if not math.isnan(v)])
+        resid = math.nan
+        # a refusal is never memoised: do not repeat a refused bessel value
+        if not math.isnan(dict(zip(methods, vals)).get("bessel", math.nan)):
+            try:
+                resid = laplace.ode_residual(p, s, method="bessel") if s > 0 else 0.0
+            except QsdError:
+                pass
+        rows.append([s] + vals + [spread, resid])
     return rows
 
 
@@ -192,8 +191,7 @@ def cmd_critical_a(args, out: Output):
 def _dist_rows(args, fn):
     p = _params(args.A)
     xs = parse_grid(args.grid)
-    with specfun.memo():
-        return [[float(x), fn(p, float(x))] for x in xs]
+    return [[float(x), fn(p, float(x))] for x in xs]
 
 
 def cmd_pdf(args, out: Output):
@@ -271,8 +269,9 @@ def cmd_simulate(args, out: Output):
 
 
 def cmd_verify(args, out: Output):
+    config = _sim_config(args)  # a bad configuration is refused before the solve
     p = _params(args.A)
-    emp = simulate(_sim_config(args))
+    emp = simulate(config)
     report = compare_to_analytic(emp, p)
     ok = report.passed()
     out.emit_record({

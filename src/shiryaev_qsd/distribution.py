@@ -11,8 +11,9 @@ Frechet-type law H(x) = exp(-2/x) on x >= 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
+from . import specfun
 from .eigen import EigenSolution
 from .specfun import whittaker_w
 
@@ -25,10 +26,15 @@ X_MIN = 2.0 / Z_MAX
 @dataclass(frozen=True)
 class QsdParams:
     """Precomputed evaluation context: the eigen solution plus the
-    normalizing constant shared by pdf, cdf, moments and transform."""
+    normalizing constant shared by pdf, cdf, moments and transform.
+
+    ``memo`` is the level's specfun.memo() store: every W, Weber panel and
+    laplace.evaluate value computed at this level is kept there, and so
+    held in memory for as long as the params live."""
 
     eigen: EigenSolution
     normalizer: float
+    memo: dict = field(init=False, compare=False, repr=False, default_factory=dict)
 
 
 def make_params(eigen: EigenSolution) -> QsdParams:
@@ -46,7 +52,8 @@ def qsd_pdf(p: QsdParams, x: float) -> float:
     A = p.eigen.A
     if x <= X_MIN or x >= A:
         return 0.0
-    w = whittaker_w(1.0, p.eigen.xi.halved(), 2.0 / x)
+    with specfun.memo(p.memo):
+        w = whittaker_w(1.0, p.eigen.xi.halved(), 2.0 / x)
     return math.exp(-1.0 / x) * (1.0 / x) * w / p.normalizer
 
 
@@ -57,7 +64,8 @@ def qsd_cdf(p: QsdParams, x: float) -> float:
         return 1.0
     if x <= X_MIN:
         return 0.0
-    w = whittaker_w(0.0, p.eigen.xi.halved(), 2.0 / x)
+    with specfun.memo(p.memo):
+        w = whittaker_w(0.0, p.eigen.xi.halved(), 2.0 / x)
     return math.exp(-1.0 / x) * w / p.normalizer
 
 

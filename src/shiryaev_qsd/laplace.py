@@ -53,9 +53,8 @@ def laplace_quadrature(p: QsdParams, s: float) -> LaplaceEval:
     """Direct integral of e^{-sx} against the closed-form pdf."""
     _check_s(s)
     A = p.eigen.A
-    with specfun.memo():
-        res = numerics.integrate(lambda x: math.exp(-s * x) * qsd_pdf(p, x), 0.0, A,
-                                 tol=QUADRATURE_TOL)
+    res = numerics.integrate(lambda x: math.exp(-s * x) * qsd_pdf(p, x), 0.0, A,
+                             tol=QUADRATURE_TOL)
     return LaplaceEval(s, A, res.value, "quadrature")
 
 
@@ -120,7 +119,7 @@ def laplace_bessel(p: QsdParams, s: float) -> LaplaceEval:
     if s == 0.0:
         return LaplaceEval(s, A, 1.0, "bessel")
     u = 2.0 * math.sqrt(2.0 * s)
-    with specfun.memo():
+    with specfun.memo(p.memo):
         ki = bessel_k(xi, u)
         ii = bessel_i(xi, u)
         w_i = weber_incomplete("I", u, A, xi)
@@ -154,11 +153,12 @@ METHODS = tuple(ROUTES)
 
 
 def evaluate(p: QsdParams, s: float, method: str) -> LaplaceEval:
-    """Evaluate the transform by the named route, once per (p, s, method)
-    inside a specfun.memo() block."""
+    """Evaluate the transform by the named route, once per (p, s, method):
+    the value is kept in p's memo store."""
     if method not in ROUTES:
         raise ValueError(f"unknown method {method!r}")
-    return specfun.memoised(ROUTES[method], lambda p, s: (method, p, s))(p, s)
+    with specfun.memo(p.memo):
+        return specfun.memoised(ROUTES[method], lambda p, s: (method, s))(p, s)
 
 
 def ode_residual(p: QsdParams, s: float, method: str = "bessel") -> float:
@@ -168,7 +168,7 @@ def ode_residual(p: QsdParams, s: float, method: str = "bessel") -> float:
     The route is evaluated once at each of the five points s, s +- h/2
     and s +- h, with step h = min(1e-4 max(1, s), s) so that no point
     lies below 0; L(s) serves both second differences and the residual,
-    and an enclosing memo block that already holds it supplies it.
+    and a value p's memo store already holds is not computed again.
     """
     if s <= 0:
         raise DomainError(f"ODE residual needs s > 0, got {s}")
@@ -180,8 +180,7 @@ def ode_residual(p: QsdParams, s: float, method: str = "bessel") -> float:
     def second(hh):
         return (L(s - hh) - 2.0 * at_s + L(s + hh)) / (hh * hh)
 
-    with specfun.memo():
-        at_s = L(s)
-        d2 = (4.0 * second(h / 2.0) - second(h)) / 3.0
+    at_s = L(s)
+    d2 = (4.0 * second(h / 2.0) - second(h)) / 3.0
     lam, A = p.eigen.lam, p.eigen.A
     return (s * s / 2.0) * d2 - (s - lam) * at_s - lam * math.exp(-s * A)

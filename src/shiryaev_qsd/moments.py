@@ -16,7 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from . import numerics, specfun
+from . import numerics
 from .distribution import QsdParams, qsd_pdf
 from .errors import DomainError, NonConvergenceError
 from .specfun import as_real, hyp2f2
@@ -112,14 +112,13 @@ def moments_quadrature(p: QsdParams, n_max: int) -> MomentSeries:
     """Direct integrals int x^n q_A(x) dx as the independent check.
 
     The n_max + 1 adaptive integrals over [0, A] share most of their
-    nodes; the call's memo block computes W once per distinct node.
+    nodes, and p's memo store computes W once per distinct node.
     """
     A = p.eigen.A
-    with specfun.memo():
-        return _finite_series(p, n_max, "quadrature", (
-            numerics.integrate(lambda x: x**n * qsd_pdf(p, x), 0.0, A,
-                               tol=QUADRATURE_TOL).value
-            for n in range(n_max + 1)))
+    return _finite_series(p, n_max, "quadrature", (
+        numerics.integrate(lambda x: x**n * qsd_pdf(p, x), 0.0, A,
+                           tol=QUADRATURE_TOL).value
+        for n in range(n_max + 1)))
 
 
 def _termwise(moment, method):

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import specfun
 from .distribution import QsdParams, qsd_cdf
 from .eigen import lambda_bounds
 from .errors import AllAbsorbedError, ConfigError, MismatchedAError
@@ -177,8 +176,7 @@ def _cdf_interpolator(p: QsdParams):
     interpolation is far below Monte Carlo resolution."""
     A = p.eigen.A
     xs = np.linspace(0.0, A, CDF_GRID + 1)
-    with specfun.memo():
-        cdf = np.array([qsd_cdf(p, x) for x in xs])
+    cdf = np.array([qsd_cdf(p, x) for x in xs])
     return xs, cdf
 
 

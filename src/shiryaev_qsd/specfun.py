@@ -9,13 +9,14 @@ when the order parameter degenerates); everything is collapsed back to
 float with an explicit imaginary-residue check.
 
 Every mpmath call goes through the package-private context ``MP``, never
-mpmath's global ``mp``.  A ``memo()`` block reuses Gamma, 1/Gamma and W
-values: mpmath multiplies each series by Gamma factors that depend on
-the order and the precision only, and the routes at one level evaluate
-W at shared points.  The functions here are not thread-safe:
-``MP.workdps`` sets the precision of the one shared context.  The memo
-itself is per thread (a ``ContextVar``), and exists only while a block
-is open.
+mpmath's global ``mp``.  A ``memo()`` block reuses Gamma, 1/Gamma, W and
+Weber panel values: mpmath multiplies each series by Gamma factors that
+depend on the order and the precision only, and the routes at one level
+evaluate W at shared points.  A level's block is opened on its
+``QsdParams.memo`` store, so its values live as long as the params do;
+any other block lives until it exits.  The functions here are not
+thread-safe: ``MP.workdps`` sets the precision of the one shared
+context.  Which block is open is per thread (a ``ContextVar``).
 """
 
 from __future__ import annotations
@@ -102,11 +103,14 @@ MP = _MemoContext()
 
 
 @contextmanager
-def memo():
-    """Reuse MP's Gamma, 1/Gamma and W values and laplace.evaluate's until
-    the outermost block exits; a nested block shares them."""
-    outer = _MEMO.get()
-    token = _MEMO.set({} if outer is None else outer)
+def memo(store=None):
+    """Reuse MP's Gamma, 1/Gamma and W values, Weber panels and
+    laplace.evaluate's inside the block.  A block opened on a ``store``
+    dict keeps its values there; one opened without shares the open
+    block's, or starts a fresh one that lives until it exits."""
+    if store is None:
+        store = _MEMO.get()
+    token = _MEMO.set({} if store is None else store)
     try:
         yield
     finally:
@@ -383,6 +387,23 @@ def _weber_integrand_imag(kind: str, level: float, nu_mag: float):
     return f, math.exp(-shift)
 
 
+def _weber_integrand(kind: str, level: float, order: OrderParam):
+    """The panels' integrand and its unscale factor (1 for real order)."""
+    z = order.value
+    if z.imag != 0.0:
+        return _weber_integrand_imag(kind, level, abs(z.imag))
+    return _weber_integrand_real(kind, level, abs(z.real)), 1.0
+
+
+def _weber_panel_direct(kind: str, level: float, order: OrderParam, a, b) -> float:
+    f, _ = _weber_integrand(kind, level, order)
+    return numerics.integrate(f, a, b, tol=WEBER_TOL).value
+
+
+# every u < 1 at a level shares the panel (1, inf)
+_weber_panel = memoised(_weber_panel_direct, lambda *args: ("weber", *args))
+
+
 def weber_incomplete(kind: str, u: float, level: float, order: OrderParam) -> float:
     """Incomplete Weber integral int_u^inf exp(-level x^2/8) C(x) x^-2 dx
     with C the modified Bessel I or K function of the given order.
@@ -394,15 +415,10 @@ def weber_incomplete(kind: str, u: float, level: float, order: OrderParam) -> fl
         raise ValueError("kind must be 'I' or 'K'")
     if not u > 0:
         raise DivergenceError(f"incomplete Weber integrals need u > 0, got u={u}")
-    z = order.value
-    if z.imag != 0.0:
-        f, unscale = _weber_integrand_imag(kind, level, abs(z.imag))
-    else:
-        f = _weber_integrand_real(kind, level, abs(z.real))
-        unscale = 1.0
+    _, unscale = _weber_integrand(kind, level, order)
 
     def panel(a, b):
-        return numerics.integrate(f, a, b, tol=WEBER_TOL).value
+        return _weber_panel(kind, level, order, a, b)
 
     if u < 1.0:
         # keep the near-origin growth of x^-2 C(x) in its own panel

@@ -110,6 +110,8 @@ class TestExitCodes:
          "ConfigError"),
         (("verify", "--A", "2", "--paths", "10", "--horizon", "1", "--seed", "-1"),
          "ConfigError"),
+        (("verify", "--A", "0.01", "--paths", "10", "--horizon", "1", "--seed", "-1"),
+         "ConfigError"),
         (("simulate", "--A", "2", "--paths", "10", "--horizon", "inf"), "ConfigError"),
         (("simulate", "--A", "2", "--paths", "10", "--horizon", "1e308"),
          "ConfigError"),
@@ -124,13 +126,17 @@ class TestExitCodes:
             "eigen-grid-to-infinity", "laplace-bessel-overflowing-s",
             "moments-recurrence-overflowing-order", "eigen-log-without-grid",
             "laplace-limit-check-with-another-route", "simulate-negative-seed",
-            "verify-negative-seed", "simulate-infinite-horizon",
+            "verify-negative-seed", "verify-unsolved-level-negative-seed",
+            "simulate-infinite-horizon",
             "simulate-overflowing-step-count", "simulate-subnormal-step"])
-    def test_bad_input_is_a_clean_failure(self, capsys, argv, error):
+    def test_bad_input_is_a_clean_failure(self, capsys, whitw_calls, argv, error):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1
         assert out == ""
         assert json.loads(err)["error"] == error
+        if argv[0] in ("simulate", "verify"):
+            # a bad configuration is refused before the eigen solve
+            assert whitw_calls == []
 
     def test_unwritable_output_is_a_clean_failure(self, capsys, tmp_path):
         target = tmp_path / "missing" / "m.csv"
@@ -425,7 +431,7 @@ class TestReproduce:
         [row] = laplace_rows(p, [s], laplace.METHODS)
         assert len(calls) == 5
         assert len(set(calls)) == 5
-        assert row[-1] == laplace.ode_residual(p, s)
+        assert row[-1] == laplace.ode_residual(_params(20.0), s)
 
     def test_laplace_table_is_byte_identical(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "reproduce", "laplace-table",

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from shiryaev_qsd import laplace, specfun
+from shiryaev_qsd import laplace, make_params, moments, numerics, principal_lambda, specfun
 from shiryaev_qsd.errors import DomainError, NonConvergenceError
 from shiryaev_qsd.laplace import (
     METHODS,
@@ -231,3 +231,52 @@ class TestOdeResidual:
         assert got.hex() == want.hex()
         assert sorted(calls) == [s - h, s - h / 2.0, s, s + h / 2.0, s + h]
         assert set(calls.values()) == {1}
+
+
+def fresh_params(A):
+    """Params with an empty memo store, whatever earlier tests computed."""
+    return make_params(principal_lambda(A))
+
+
+class TestLevelMemo:
+    @pytest.mark.parametrize("A", [5.0, 20.0], ids=["imaginary-xi", "real-xi"])
+    def test_weber_panel_from_one_is_integrated_once_per_kind(self, monkeypatch, A):
+        # u = 2 sqrt(2s) < 1 below s = 1/8, where every s shares panel(1, inf)
+        svals = (0.05, 0.1)
+        want = [laplace_bessel(fresh_params(A), s).value.hex() for s in svals]
+        plain, panels = numerics.integrate, []
+
+        def counting(f, a, b, tol):
+            panels.append((a, b))
+            return plain(f, a, b, tol)
+
+        monkeypatch.setattr(numerics, "integrate", counting)
+        p = fresh_params(A)
+        got = [laplace_bessel(p, s).value.hex() for s in svals]
+        assert got == want
+        assert panels.count((1.0, math.inf)) == 2  # one for I, one for K
+        assert len(panels) == 2 * 3
+
+    @pytest.mark.parametrize("A", [5.0, 20.0], ids=["imaginary-xi", "real-xi"])
+    def test_route_table_sequence_reuses_the_level(self, monkeypatch, A):
+        # the order of the benchmark's route-table: moment table, every
+        # Laplace route at s, then the ODE residual, all on one params
+        s = 1.0
+        calls = [
+            *(lambda p, m=m: moments.moment_series(p, 10, m).values
+              for m in moments.METHODS),
+            *(lambda p, m=m: [evaluate(p, s, m).value] for m in METHODS),
+            lambda p: [ode_residual(p, s)],
+        ]
+        want = [[v.hex() for v in call(fresh_params(A))] for call in calls]
+        bessel, runs = laplace.ROUTES["bessel"], []
+
+        def counting(p_, s_):
+            runs.append(s_)
+            return bessel(p_, s_)
+
+        monkeypatch.setitem(laplace.ROUTES, "bessel", counting)
+        p = fresh_params(A)
+        assert [[v.hex() for v in call(p)] for call in calls] == want
+        # the residual takes the row's bessel value at s from p's memo
+        assert len(runs) == 5

@@ -384,18 +384,34 @@ class TestGammaMemo:
         whittaker_w(1.0, self.ORDER, 0.7)
         assert len(whitw_calls) == 2
 
-    def test_a_repeated_evaluate_computes_once(self, params_for, monkeypatch):
-        p, route, calls = params_for(5.0), laplace.ROUTES["kdf1"], []
+    def test_a_store_keeps_its_values_between_blocks(self, whitw_calls):
+        store = {}
+        with specfun.memo(store):
+            first = whittaker_w(1.0, self.ORDER, 0.7)
+        # a block without the store, even one around it, does not see them
+        with specfun.memo():
+            whittaker_w(1.0, self.ORDER, 0.7)
+            with specfun.memo(store):
+                assert whittaker_w(1.0, self.ORDER, 0.7) == first
+            whittaker_w(1.0, self.ORDER, 0.7)
+        assert len(whitw_calls) == 2
+
+    def test_a_repeated_evaluate_computes_once(self, monkeypatch):
+        # fresh params: params_for's cached ones may already hold the value
+        p = distribution.make_params(eigen.principal_lambda(5.0))
+        route, calls = laplace.ROUTES["kdf1"], []
 
         def counting(p_, s_):
             calls.append(s_)
             return route(p_, s_)
 
         monkeypatch.setitem(laplace.ROUTES, "kdf1", counting)
-        with specfun.memo():
-            first = laplace.evaluate(p, 0.5, "kdf1")
-            assert laplace.evaluate(p, 0.5, "kdf1") is first
+        first = laplace.evaluate(p, 0.5, "kdf1")
+        assert laplace.evaluate(p, 0.5, "kdf1") is first
         assert calls == [0.5]
+        fresh = distribution.make_params(eigen.principal_lambda(5.0))
+        assert laplace.evaluate(fresh, 0.5, "kdf1") == first
+        assert calls == [0.5, 0.5]
 
     def test_a_raising_whittaker_w_is_computed_again(self, monkeypatch):
         calls = []
