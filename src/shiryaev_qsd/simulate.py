@@ -34,6 +34,9 @@ SUP_TOL = 0.02
 LAMBDA_REL_TOL = 0.05
 # intervals of the analytic cdf table on [0, A]
 CDF_GRID = 2000
+# the most Euler path-steps (paths x steps) a configuration may ask for:
+# about 6 h at ~20 ns per path-step
+MAX_PATH_STEPS = 1e12
 
 
 def default_horizon(A: float) -> float:
@@ -65,6 +68,10 @@ class SimConfig:
         if not math.isfinite(max(self.resolved_horizon(), SNAPSHOT_DT) / self.dt):
             raise ConfigError(f"too many steps of dt={self.dt} for "
                               f"horizon={self.resolved_horizon()}")
+        steps = round(self.resolved_horizon() / self.dt)
+        if self.paths * steps > MAX_PATH_STEPS:
+            raise ConfigError(f"{self.paths} paths of {steps:.3g} steps exceed "
+                              f"MAX_PATH_STEPS = {MAX_PATH_STEPS:g} path-steps")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 

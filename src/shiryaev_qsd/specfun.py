@@ -17,6 +17,14 @@ evaluate W at shared points.  A level's block is opened on its
 any other block lives until it exits.  The functions here are not
 thread-safe: ``MP.workdps`` sets the precision of the one shared
 context.  Which block is open is per thread (a ``ContextVar``).
+
+``MP`` also skips mpmath's first, asymptotic 2F0 attempt in ``hyperu``
+(under whitw) and ``_hyp2f0`` (under besselk and hyp1f1) when it must
+fail: for W at arguments below about 70 (every eigen solve's 2/A is at
+most 40) it sums ~100 terms only to raise NoConvergence.  The skip is
+taken only when the terms' log2 sizes stay 8 bits above mpmath's stop
+threshold up to its term limit; the attempt could only have raised, so
+every value is mpmath's bit for bit.
 """
 
 from __future__ import annotations
@@ -80,11 +88,43 @@ def memoised(fn, key):
     return call
 
 
+# mpmath 1.3's own hyperu (functions/bessel.py) and _hyp2f0
+# (functions/hypergeometric.py); MP's overrides mirror their fallbacks
+MPMATH_HYPERU = MPContext.hyperu
+MPMATH_HYP2F0 = MPContext._hyp2f0
+
+# the raise of mpmath 1.3's hypergeometric summator (libmp/libhyper.py)
+_HYPSUM_NO_CONVERGENCE = ("Hypergeometric series converges too slowly. "
+                          "Try increasing maxterms.")
+
+
+def _doomed_2f0(a, b, x, prec, maxterms) -> bool:
+    """True only if mpmath 1.3's summation of 2F0(a, b; x) at ``prec``
+    bits must raise NoConvergence.  Its summator works at prec + 50
+    bits, stops at the first term n >= 1 below 2^-(prec + 25), and
+    raises after term maxterms + 1.  The log2 of the term ratios is
+    summed in float, and "doomed" needs every term up to maxterms + 1
+    at least 8 bits above the stop; a zero (terminating) or non-finite
+    ratio leaves the last log non-finite and answers False."""
+    a, b, x = (complex(MP.convert(v)) for v in (a, b, x))
+    j = np.arange(maxterms + 1.0)
+    with np.errstate(all="ignore"):
+        log_terms = np.cumsum(np.log2(np.abs(a + j) * np.abs(b + j) * (abs(x) / (j + 1))))
+    return bool(np.isfinite(log_terms[-1]) and log_terms.min() >= 8 - (prec + 25))
+
+
+# the keywords under which the 2F0 attempt is still predicted; a call
+# with maxterms or any other goes to mpmath unchanged
+_PREDICTED_KWARGS = {"maxprec", "force_series"}
+
+
 class _MemoContext(MPContext):
     """An mpmath context whose gamma and rgamma are memoised: Gamma is a
     deterministic function of its argument, the precision and the
     rounding, so a reused value is bitwise the one mpmath computes.
-    ``unmemoised`` holds mpmath's own functions."""
+    ``unmemoised`` holds mpmath's own functions.  hyperu and _hyp2f0
+    skip the asymptotic 2F0 attempt where _doomed_2f0 says it must
+    raise; it leaves no state, so every value is bitwise mpmath's."""
 
     def __init__(self):
         super().__init__()
@@ -93,10 +133,50 @@ class _MemoContext(MPContext):
             setattr(self, name, memoised(
                 lambda x, _name=name, **kwargs: self.unmemoised[_name](x, **kwargs),
                 lambda x, _name=name: (_name, self._exact(x), *self._prec_rounding)))
+        # mpmath's constructor sets its own functions on the class
+        self.hyperu, self._hyp2f0 = self._skipping_hyperu, self._skipping_hyp2f0
 
     def _exact(self, x):
         x = self.convert(x)
         return x._mpf_ if hasattr(x, "_mpf_") else x._mpc_
+
+    def _skipping_hyperu(self, a, b, z, **kwargs):
+        # mirrors mpmath 1.3 hyperu: 2F0(a, 1+a-b; -1/z) at prec + 10
+        # with maxterms prec + 10, else hypercomb of two 1F1 terms
+        am, _ = self._convert_param(a)
+        bm, _ = self._convert_param(b)
+        zm = self.convert(z)
+        prec = self.prec + 10
+        if not (zm and kwargs.keys() <= _PREDICTED_KWARGS
+                and _doomed_2f0(am, 1 + am - bm, 1 / zm, prec, prec)):
+            return MPMATH_HYPERU(self, a, b, z, **kwargs)
+
+        def h(a, b):
+            w = self.sinpi(b)
+            T1 = ([self.pi, w], [1, -1], [], [a - b + 1, b], [a], [b], zm)
+            T2 = ([-self.pi, w, zm], [1, -1, 1 - b], [], [a, 2 - b], [a - b + 1], [2 - b], zm)
+            return T1, T2
+        return self.hypercomb(h, [am, bm], **kwargs)
+
+    def _skipping_hyp2f0(self, a_s, b_s, z, **kwargs):
+        # mirrors mpmath 1.3 _hyp2f0: 2F0(a, b; z) at prec with maxterms
+        # prec; on NoConvergence re-raise under force_series, else
+        # hypercomb of two 1F1 terms
+        (a, _), (b, _) = a_s
+        if not (kwargs.keys() <= _PREDICTED_KWARGS
+                and _doomed_2f0(a, b, z, self.prec, self.prec)):
+            return MPMATH_HYP2F0(self, a_s, b_s, z, **kwargs)
+        if kwargs.get("force_series"):
+            raise NoConvergence(_HYPSUM_NO_CONVERGENCE)
+
+        def h(a, b):
+            w = self.sinpi(b)
+            rz = -1 / z
+            T1 = ([self.pi, w, rz], [1, -1, a], [], [a - b + 1, b], [a], [b], rz)
+            T2 = ([-self.pi, w, rz], [1, -1, 1 + a - b], [], [a, 2 - b], [a - b + 1],
+                  [2 - b], rz)
+            return T1, T2
+        return self.hypercomb(h, [a, 1 + a - b], **kwargs)
 
 
 MP = _MemoContext()

@@ -117,6 +117,8 @@ class TestExitCodes:
          "ConfigError"),
         (("simulate", "--A", "2", "--paths", "10", "--horizon", "1", "--dt", "1e-320"),
          "ConfigError"),
+        (("simulate", "--A", "2", "--paths", "10", "--horizon", "1e-15", "--dt", "1e-300"),
+         "ConfigError"),
     ], ids=["laplace-s-not-a-number", "eigen-log-grid-from-zero",
             "moments-negative-order",
             "eigen-level-below-range", "cdf-level-below-range",
@@ -128,7 +130,8 @@ class TestExitCodes:
             "laplace-limit-check-with-another-route", "simulate-negative-seed",
             "verify-negative-seed", "verify-unsolved-level-negative-seed",
             "simulate-infinite-horizon",
-            "simulate-overflowing-step-count", "simulate-subnormal-step"])
+            "simulate-overflowing-step-count", "simulate-subnormal-step",
+            "simulate-path-steps-above-cap"])
     def test_bad_input_is_a_clean_failure(self, capsys, whitw_calls, argv, error):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1

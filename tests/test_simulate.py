@@ -53,6 +53,8 @@ class TestSimConfig:
             SimConfig(A=2.0, seed=-1)
         with pytest.raises(ConfigError):
             SimConfig(A=2.0, horizon=math.inf)
+        with pytest.raises(ConfigError, match="MAX_PATH_STEPS"):
+            SimConfig(A=2.0, paths=10, horizon=1e-15, dt=1e-300)
 
     def test_default_horizon_scales_with_decay_time(self):
         assert default_horizon(2.0) == pytest.approx(20.0 / (0.5 + 1.0 / 6.0))

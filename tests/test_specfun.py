@@ -3,10 +3,13 @@ identities, the error contracts, and the Gamma memo."""
 
 import contextlib
 import math
+import types
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath.libmp import NoConvergence
 from scipy.integrate import quad
 from scipy.special import ive, kv
@@ -296,6 +299,86 @@ class TestMpmathFailures:
                             self._raise(ValueError("hypercomb")))
         with pytest.raises(NonConvergenceError, match="Weber K integrand"):
             weber_incomplete("K", 2.0, 2.0, OrderParam.imaginary(0.5))
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(
+        lambda t: min(max(math.exp(t), lo), hi))
+
+
+def _signed(magnitudes):
+    return st.tuples(st.sampled_from([-1.0, 1.0]), magnitudes).map(lambda t: t[0] * t[1])
+
+
+def _with_and_without_skip(evaluate):
+    """evaluate() at WORK_DPS with MP's overrides, then with mpmath's own
+    hyperu and _hyp2f0 swapped in."""
+    MP = specfun.MP
+    with MP.workdps(specfun.WORK_DPS):
+        skipping = evaluate()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(MP, "hyperu", types.MethodType(specfun.MPMATH_HYPERU, MP))
+            patch.setattr(MP, "_hyp2f0", types.MethodType(specfun.MPMATH_HYP2F0, MP))
+            own = evaluate()
+    return MP._exact(skipping), MP._exact(own)
+
+
+@pytest.fixture
+def sums_2f0(monkeypatch):
+    """(1/|x|, raised) of every 2F0(a, b; x) sum MP.hypsum runs."""
+    sums = []
+    plain = specfun.MP.hypsum
+
+    def counting(p, q, flags, coeffs, x, **kwargs):
+        if (p, q) != (2, 0):
+            return plain(p, q, flags, coeffs, x, **kwargs)
+        try:
+            value = plain(p, q, flags, coeffs, x, **kwargs)
+        except NoConvergence:
+            sums.append((1 / abs(complex(x)), True))
+            raise
+        sums.append((1 / abs(complex(x)), False))
+        return value
+
+    monkeypatch.setattr(specfun.MP, "hypsum", counting)
+    return sums
+
+
+class TestAsymptoticSkip:
+    """MP skips mpmath's asymptotic 2F0 attempt only where it must fail,
+    and every value stays mpmath's bit for bit."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(k=st.sampled_from([0, 1]),
+           m=st.one_of(st.floats(0.0, 0.25, exclude_max=True).map(lambda m: (m, 0.0)),
+                       _signed(_log_uniform(1e-3, 30.0)).map(lambda m: (0.0, m))),
+           z=_log_uniform(1e-3, 700.0))
+    def test_whittaker_w_is_bitwise_mpmaths(self, k, m, z):
+        skipping, own = _with_and_without_skip(
+            lambda: specfun.MP.whitw(k, specfun.MP.mpc(*m), z))
+        assert skipping == own
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(nu=st.one_of(st.floats(0.0, 1.0).map(lambda n: (n, 0.0)),
+                        _signed(_log_uniform(1e-3, 60.0)).map(lambda n: (0.0, n))),
+           x=_log_uniform(1e-2, 60.0))
+    def test_bessel_k_is_bitwise_mpmaths(self, nu, x):
+        skipping, own = _with_and_without_skip(
+            lambda: specfun.MP.besselk(specfun.MP.mpc(*nu), x))
+        assert skipping == own
+
+    def test_a_cold_eigen_solve_sums_no_doomed_series(self, sums_2f0):
+        for A in (0.05, 2.0, 20.0, 500.0):
+            eigen.principal_lambda.__wrapped__(A)
+        assert not any(raised for _, raised in sums_2f0)
+
+    def test_a_cdf_table_sums_no_doomed_series(self, sums_2f0):
+        p = distribution.make_params(eigen.principal_lambda.__wrapped__(20.0))
+        simulate._cdf_interpolator(p)
+        assert not any(raised for _, raised in sums_2f0)
+        # W at the node x = 0.01 (z = 200) still takes mpmath's own
+        # asymptotic series, so the rule is not "always skip"
+        assert max(z for z, raised in sums_2f0 if not raised) >= 199.0
 
 
 def _memo_key(name, x):
