@@ -18,8 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.special import kv
-
 from . import numerics, specfun
 from .distribution import QsdParams, qsd_pdf
 from .errors import DomainError, NonConvergenceError
@@ -119,6 +117,10 @@ def laplace_bessel(p: QsdParams, s: float) -> LaplaceEval:
     if s == 0.0:
         return LaplaceEval(s, A, 1.0, "bessel")
     u = 2.0 * math.sqrt(2.0 * s)
+    if not math.isfinite(u):
+        # 2 s overflows from s ~ 9e307 on
+        raise NonConvergenceError(
+            f"bessel route leaves float range at s={s}, A={A}: 2 sqrt(2s) overflows")
     with specfun.memo(p.memo):
         ki = bessel_k(xi, u)
         ii = bessel_i(xi, u)
@@ -135,6 +137,8 @@ def laplace_bessel(p: QsdParams, s: float) -> LaplaceEval:
 def stationary_laplace(s: float) -> float:
     """Transform 2 sqrt(2s) K_1(2 sqrt(2s)) of the stationary law; 1 at
     s = 0 by the small-argument limit of K_1."""
+    from scipy.special import kv
+
     _check_s(s)
     if s == 0.0:
         return 1.0

@@ -2,16 +2,16 @@
 
 Thin wrappers around scipy (Brent's method, QUADPACK) that check their
 brackets, raise explicit error objects, and follow the error-reporting
-conventions the rest of the package relies on.
+conventions the rest of the package relies on.  Like every scipy import
+in the package, theirs sits inside the function that calls it: scipy is
+loaded at the first root solve, quadrature, real-order Weber integrand
+or stationary transform, never by importing the package.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .errors import InvalidBracketError, NonConvergenceError
 
@@ -33,6 +33,8 @@ def find_root(f, lo: float, hi: float, tol: float) -> float:
     the bracket.  It evaluates f at both ends again, so a caller with an
     expensive f memoises it.
     """
+    from scipy.optimize import brentq
+
     if not lo < hi:
         raise InvalidBracketError(f"lo={lo} must be < hi={hi}")
     f_lo, f_hi = f(lo), f(hi)
@@ -49,6 +51,8 @@ def integrate(f, a, b, tol: float) -> QuadResult:
     NonConvergenceError when QUADPACK warns and its error estimate
     exceeds 100 tol max(1, |value|).
     """
+    from scipy.integrate import quad
+
     out = quad(f, a, b, epsabs=tol, epsrel=tol, limit=QUAD_LIMIT, full_output=True)
     value, abserr, info = out[0], out[1], out[2]
     if len(out) > 3:  # a warning message was produced

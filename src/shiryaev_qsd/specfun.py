@@ -38,7 +38,6 @@ from dataclasses import dataclass
 import numpy as np
 from mpmath.ctx_mp import MPContext
 from mpmath.libmp import NoConvergence
-from scipy.special import ive, kve
 
 from . import numerics
 from .errors import (
@@ -434,6 +433,8 @@ def kampe_de_feriet(a1, a2, b1, b2, u: float, v: float) -> float:
 
 
 def _weber_integrand_real(kind: str, level: float, nu: float):
+    from scipy.special import ive, kve
+
     # exponentially scaled Bessel avoids overflow before the Gaussian bites
     if kind == "I":
         return lambda x: ive(nu, x) * math.exp(x - level * x * x / 8.0) / (x * x)

@@ -5,8 +5,11 @@ import argparse
 import csv
 import io
 import json
+import os
 import pathlib
 import shlex
+import subprocess
+import sys
 
 import pytest
 
@@ -101,6 +104,8 @@ class TestExitCodes:
         (("eigen", "--grid", "1:inf:3"), "QsdError"),
         (("laplace", "--A", "5", "--s", "1e6", "--method", "bessel"),
          "NonConvergenceError"),
+        (("laplace", "--A", "5", "--s", "1e308", "--method", "bessel"),
+         "NonConvergenceError"),
         (("moments", "--A", "20", "--n-max", "300", "--method", "recurrence"),
          "NonConvergenceError"),
         (("eigen", "--A", "2", "--log"), "QsdError"),
@@ -126,6 +131,7 @@ class TestExitCodes:
             "simulate-level-below-range", "laplace-infinite-s",
             "laplace-moments-overflowing-s", "pdf-grid-to-infinity",
             "eigen-grid-to-infinity", "laplace-bessel-overflowing-s",
+            "laplace-bessel-overflowing-argument",
             "moments-recurrence-overflowing-order", "eigen-log-without-grid",
             "laplace-limit-check-with-another-route", "simulate-negative-seed",
             "verify-negative-seed", "verify-unsolved-level-negative-seed",
@@ -137,6 +143,10 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert json.loads(err)["error"] == error
+        if argv[-1] == "bessel":
+            # the refusal names the s it was given, not an overflowed argument
+            message = json.loads(err)["message"]
+            assert f"s={float(argv[4])}," in message and "inf" not in message
         if argv[0] in ("simulate", "verify"):
             # a bad configuration is refused before the eigen solve
             assert whitw_calls == []
@@ -474,3 +484,33 @@ def test_readme_cli_examples_parse():
     for argv in argvs:
         parser.parse_args(argv)
     assert {argv[0] for argv in argvs} == subcommands()
+
+
+SCIPY_PARTS = ("scipy.integrate", "scipy.optimize", "scipy.special")
+
+
+def scipy_parts_loaded(code):
+    """The SCIPY_PARTS in sys.modules after `code` runs in a fresh
+    interpreter that imports the package from this checkout."""
+    src = pathlib.Path(__file__).parents[1] / "src"
+    probe = (f"{code}\nimport json, sys\n"
+             f"print(json.dumps([m for m in {SCIPY_PARTS!r} if m in sys.modules]))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, check=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("code", [
+    "import shiryaev_qsd, shiryaev_qsd.cli; shiryaev_qsd.cli.build_parser()",
+    f"from shiryaev_qsd.cli import run; run(['simulate', *{SMALL_RUN!r}])",
+    "from shiryaev_qsd.cli import run; run(['eigen', '--A', '1e-4'])",
+], ids=["setup", "simulate", "eigen-level-below-range"])
+def test_work_that_calls_no_scipy_loads_none(code):
+    assert scipy_parts_loaded(code) == []
+
+
+def test_an_eigen_solve_loads_the_root_finder():
+    # the probe sees a deferred import once the work that calls it runs
+    code = "from shiryaev_qsd.cli import run; run(['eigen', '--A', '2'])"
+    assert "scipy.optimize" in scipy_parts_loaded(code)
