@@ -14,8 +14,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import distribution, eigen, laplace, moments
 from .errors import QsdError
 from .simulate import SimConfig, compare_to_analytic, simulate
@@ -98,6 +96,8 @@ class Output:
 
 def parse_grid(spec: str):
     """'lo:hi:n' -> linear grid of n points."""
+    import numpy as np
+
     try:
         lo, hi, n = spec.split(":")
         lo, hi, n = float(lo), float(hi), int(n)
@@ -174,6 +174,8 @@ def cmd_eigen(args, out: Output):
         if args.log:
             if not grid[0] > 0:
                 raise QsdError(f"a log grid needs lo > 0, got {args.grid!r}")
+            import numpy as np
+
             grid = np.geomspace(grid[0], grid[-1], grid.size)
         out.emit_rows(EIGEN_HEADER, eigen_rows(grid))
     else:
@@ -286,7 +288,7 @@ def cmd_verify(args, out: Output):
 
 
 FIG1_N = (1, 2, 3, 4, 5, 10)
-FIG1_A = np.concatenate([[0.05, 0.1, 0.25, 0.5], np.linspace(1.0, 50.0, 50)])
+FIG1_A = (0.05, 0.1, 0.25, 0.5) + tuple(float(a) for a in range(1, 51))
 FIG2_A = (1.0, 3.0, 5.0, 10.0, 30.0, 50.0)
 
 
@@ -295,8 +297,8 @@ def fig1_table():
     are singular at A = 0)."""
     rows = []
     for A in FIG1_A:
-        series = moments.moments_recurrence(_params(float(A)), max(FIG1_N))
-        rows.append([float(A)] + [series.values[n] for n in FIG1_N])
+        series = moments.moments_recurrence(_params(A), max(FIG1_N))
+        rows.append([A] + [series.values[n] for n in FIG1_N])
     return ["A"] + [f"M{n}" for n in FIG1_N], rows
 
 
@@ -308,6 +310,8 @@ def fig2_table():
 
 
 def bounds_table():
+    import numpy as np
+
     return EIGEN_HEADER[:4], [r[:4] for r in eigen_rows(np.geomspace(0.5, 200.0, 25))]
 
 

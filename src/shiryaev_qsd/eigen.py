@@ -88,8 +88,9 @@ def principal_lambda(A: float) -> EigenSolution:
     A = float(A)
     lo, hi = lambda_bounds(A)
     f = functools.partial(eigen_objective, A=A)
-    # the block holds one W value per distinct lambda: Brent's method
-    # re-evaluates the bracket ends and the residual re-evaluates the root
+    # the block holds one W value per distinct lambda: the residual
+    # re-evaluates the root and the scan scale the grid points; the Gamma
+    # values are shared too
     with specfun.memo():
         # the bounds interval can contain higher eigenvalues too (their
         # spacing shrinks relative to the interval for small A), so walk up
@@ -135,7 +136,8 @@ def principal_lambda(A: float) -> EigenSolution:
 def critical_A() -> float:
     """Absorption level at which lambda_A = 1/8 (the xi = 0 borderline),
     i.e. the root of W_{1,0}(2/A) = 0, bracketed in [5, 20]."""
-    # find_root checks the ends' signs and Brent's method evaluates them again
+    # the block shares the Gamma values of W_{1,0}, which depend on the
+    # order only, across the levels Brent's method tries
     with specfun.memo():
         return numerics.find_root(functools.partial(eigen_objective, 0.125),
                                   5.0, 20.0, tol=ROOT_TOL)

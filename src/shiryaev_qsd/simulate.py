@@ -17,12 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .distribution import QsdParams, qsd_cdf
 from .eigen import lambda_bounds
 from .errors import AllAbsorbedError, ConfigError, MismatchedAError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # conditional-density histogram bins on [0, A]
 BINS = 64
@@ -95,6 +97,8 @@ class EmpiricalQsd:
 
 def _fit_decay(times, alive):
     """Count-weighted least-squares slope of log(alive) vs t."""
+    import numpy as np
+
     mask = alive > 0
     t, n = times[mask], alive[mask]
     if t.size < 3:
@@ -109,6 +113,8 @@ def _fit_decay(times, alive):
 
 def simulate(config: SimConfig) -> EmpiricalQsd:
     """Run the Euler-Maruyama scheme and assemble the empirical QSD."""
+    import numpy as np
+
     A = config.A
     dt = config.dt
     horizon = config.resolved_horizon()
@@ -181,6 +187,8 @@ class ComparisonReport:
 def _cdf_interpolator(p: QsdParams):
     """Analytic cdf tabulated on a grid; the cdf is smooth so linear
     interpolation is far below Monte Carlo resolution."""
+    import numpy as np
+
     A = p.eigen.A
     xs = np.linspace(0.0, A, CDF_GRID + 1)
     cdf = np.array([qsd_cdf(p, x) for x in xs])
@@ -190,6 +198,8 @@ def _cdf_interpolator(p: QsdParams):
 def compare_to_analytic(emp: EmpiricalQsd, p: QsdParams) -> ComparisonReport:
     """Sup-distance of the empirical conditional cdf from the analytic
     one, and the decay-rate comparison."""
+    import numpy as np
+
     if not math.isclose(emp.A, p.eigen.A, rel_tol=0.0, abs_tol=1e-12):
         raise MismatchedAError(f"empirical A={emp.A} vs analytic A={p.eigen.A}")
 

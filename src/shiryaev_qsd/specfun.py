@@ -35,7 +35,6 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 
-import numpy as np
 from mpmath.ctx_mp import MPContext
 from mpmath.libmp import NoConvergence
 
@@ -105,6 +104,8 @@ def _doomed_2f0(a, b, x, prec, maxterms) -> bool:
     summed in float, and "doomed" needs every term up to maxterms + 1
     at least 8 bits above the stop; a zero (terminating) or non-finite
     ratio leaves the last log non-finite and answers False."""
+    import numpy as np
+
     a, b, x = (complex(MP.convert(v)) for v in (a, b, x))
     j = np.arange(maxterms + 1.0)
     with np.errstate(all="ignore"):
@@ -503,5 +504,5 @@ def weber_incomplete(kind: str, u: float, level: float, order: OrderParam) -> fl
 
     if u < 1.0:
         # keep the near-origin growth of x^-2 C(x) in its own panel
-        return unscale * (panel(u, 1.0) + panel(1.0, np.inf))
-    return unscale * panel(u, np.inf)
+        return unscale * (panel(u, 1.0) + panel(1.0, math.inf))
+    return unscale * panel(u, math.inf)

@@ -486,31 +486,42 @@ def test_readme_cli_examples_parse():
     assert {argv[0] for argv in argvs} == subcommands()
 
 
-SCIPY_PARTS = ("scipy.integrate", "scipy.optimize", "scipy.special")
+HEAVY_MODULES = ("numpy", "scipy.integrate", "scipy.optimize", "scipy.special")
 
 
-def scipy_parts_loaded(code):
-    """The SCIPY_PARTS in sys.modules after `code` runs in a fresh
+def heavy_modules_loaded(code):
+    """The HEAVY_MODULES in sys.modules after `code` runs in a fresh
     interpreter that imports the package from this checkout."""
     src = pathlib.Path(__file__).parents[1] / "src"
     probe = (f"{code}\nimport json, sys\n"
-             f"print(json.dumps([m for m in {SCIPY_PARTS!r} if m in sys.modules]))")
+             f"print(json.dumps([m for m in {HEAVY_MODULES!r} if m in sys.modules]))")
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, check=True, timeout=120,
                           env=dict(os.environ, PYTHONPATH=str(src)))
     return json.loads(done.stdout.splitlines()[-1])
 
 
-@pytest.mark.parametrize("code", [
-    "import shiryaev_qsd, shiryaev_qsd.cli; shiryaev_qsd.cli.build_parser()",
-    f"from shiryaev_qsd.cli import run; run(['simulate', *{SMALL_RUN!r}])",
-    "from shiryaev_qsd.cli import run; run(['eigen', '--A', '1e-4'])",
-], ids=["setup", "simulate", "eigen-level-below-range"])
-def test_work_that_calls_no_scipy_loads_none(code):
-    assert scipy_parts_loaded(code) == []
+def cli_code(*argv):
+    return ("import contextlib\nfrom shiryaev_qsd.cli import run\n"
+            f"with contextlib.suppress(SystemExit): run({list(argv)!r})")
 
 
-def test_an_eigen_solve_loads_the_root_finder():
+@pytest.mark.parametrize("code, allowed", [
+    ("import shiryaev_qsd, shiryaev_qsd.cli; shiryaev_qsd.cli.build_parser()", set()),
+    (cli_code("--help"), set()),
+    (cli_code("eigen", "--A", "1e-4"), set()),
+    (cli_code("simulate", *SMALL_RUN), {"numpy"}),
+    (cli_code("eigen", "--A", "2"), {"numpy"}),
+    (cli_code("critical-a"), {"numpy"}),
+    (cli_code("cdf", "--A", "2", "--grid", "0.1:1.9:7"), {"numpy"}),
+], ids=["setup", "help", "eigen-level-below-range", "simulate", "eigen", "critical-a",
+        "cdf"])
+def test_work_that_calls_no_scipy_loads_none(code, allowed):
+    # numpy only where arrays are built: a Whittaker W, a grid, a simulation
+    assert set(heavy_modules_loaded(code)) <= allowed
+
+
+def test_a_quadrature_route_loads_the_integrator():
     # the probe sees a deferred import once the work that calls it runs
-    code = "from shiryaev_qsd.cli import run; run(['eigen', '--A', '2'])"
-    assert "scipy.optimize" in scipy_parts_loaded(code)
+    code = cli_code("laplace", "--A", "5", "--s", "1", "--method", "quadrature")
+    assert "scipy.integrate" in heavy_modules_loaded(code)
