@@ -16,6 +16,7 @@ check against the governing ODE
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from . import numerics, specfun
@@ -173,10 +174,14 @@ def ode_residual(p: QsdParams, s: float, method: str = "bessel") -> float:
     and s +- h, with step h = min(1e-4 max(1, s), s) so that no point
     lies below 0; L(s) serves both second differences and the residual,
     and a value p's memo store already holds is not computed again.
+    Refused below s ~ 3e-154, where (h/2)^2 is no longer a normal float
+    (it underflows to 0 from s ~ 3e-162).
     """
     if s <= 0:
         raise DomainError(f"ODE residual needs s > 0, got {s}")
     h = min(1e-4 * max(1.0, s), s)
+    if (h / 2.0) * (h / 2.0) < sys.float_info.min:
+        raise DomainError(f"ODE residual's step (h/2)^2 underflows at s={s}")
 
     def L(x):
         return evaluate(p, x, method).value

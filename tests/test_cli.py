@@ -5,6 +5,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import pathlib
 import shlex
@@ -303,6 +304,24 @@ class TestMomentsAndLaplaceCommands:
         assert row["kdf1"] > 0
         assert row["max_rel_spread"] is None and row["ode_residual"] is None
         assert calls == []
+
+    def test_residual_at_an_underflowing_step_leaves_null(self, capsys, monkeypatch):
+        # at s = 1e-170 the residual's (h/2)^2 underflows to 0: it is
+        # refused before its four extra bessel values are asked for
+        bessel, calls = laplace.ROUTES["bessel"], []
+
+        def counting(p_, s_):
+            calls.append(s_)
+            return bessel(p_, s_)
+
+        monkeypatch.setitem(laplace.ROUTES, "bessel", counting)
+        code, out, _ = run_cli(capsys, "laplace", "--A", "20", "--s", "1e-170",
+                               "--format", "json")
+        assert code == 0
+        [row] = json.loads(out)
+        assert math.isfinite(row["bessel"])
+        assert row["ode_residual"] is None
+        assert calls == [1e-170]
 
     def test_limit_check_gap_shrinks(self, capsys):
         code, out, _ = run_cli(capsys, "laplace", "--s", "1", "--limit-check")

@@ -200,9 +200,15 @@ class TestOdeResidual:
         resid = (s * s / 2.0) * d2 - (s - lam) * L(s) - lam * math.exp(-s * A)
         assert abs(resid) > 1e-4
 
-    def test_nonpositive_s_rejected(self, params_for):
-        with pytest.raises(DomainError):
-            ode_residual(params_for(5.0), 0.0)
+    def test_nonpositive_and_underflowing_s_rejected(self, params_for, monkeypatch):
+        # below s ~ 3e-154 the stencil's (h/2)^2 is not a normal float
+        # (at 1e-170 it is 0): refused before any route is evaluated
+        for method in ("bessel", "moments", "quadrature"):
+            monkeypatch.setitem(laplace.ROUTES, method, None)
+        for s in (0.0, 1e-170):
+            for method in ("bessel", "moments", "quadrature"):
+                with pytest.raises(DomainError, match=str(s)):
+                    ode_residual(params_for(20.0), s, method=method)
 
     def test_five_route_calls_and_seven_call_value(self, params_for, monkeypatch):
         # the residual as first written, with L(s) evaluated three times

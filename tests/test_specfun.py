@@ -310,17 +310,24 @@ def _signed(magnitudes):
     return st.tuples(st.sampled_from([-1.0, 1.0]), magnitudes).map(lambda t: t[0] * t[1])
 
 
-def _with_and_without_skip(evaluate):
+def _with_mpmaths_own(evaluate, names):
     """evaluate() at WORK_DPS with MP's overrides, then with mpmath's own
-    hyperu and _hyp2f0 swapped in."""
+    functions ``names`` swapped in."""
     MP = specfun.MP
+    own = {"hyperu": types.MethodType(specfun.MPMATH_HYPERU, MP),
+           "_hyp2f0": types.MethodType(specfun.MPMATH_HYP2F0, MP),
+           **MP.unmemoised}
     with MP.workdps(specfun.WORK_DPS):
-        skipping = evaluate()
+        ours = evaluate()
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(MP, "hyperu", types.MethodType(specfun.MPMATH_HYPERU, MP))
-            patch.setattr(MP, "_hyp2f0", types.MethodType(specfun.MPMATH_HYP2F0, MP))
-            own = evaluate()
-    return MP._exact(skipping), MP._exact(own)
+            for name in names:
+                patch.setattr(MP, name, own[name])
+            theirs = evaluate()
+    return ours, theirs
+
+
+SKIP = ("hyperu", "_hyp2f0")
+CONJUGATE = ("gamma", "rgamma", "hyper")
 
 
 @pytest.fixture
@@ -354,8 +361,8 @@ class TestAsymptoticSkip:
                        _signed(_log_uniform(1e-3, 30.0)).map(lambda m: (0.0, m))),
            z=_log_uniform(1e-3, 700.0))
     def test_whittaker_w_is_bitwise_mpmaths(self, k, m, z):
-        skipping, own = _with_and_without_skip(
-            lambda: specfun.MP.whitw(k, specfun.MP.mpc(*m), z))
+        skipping, own = _with_mpmaths_own(
+            lambda: specfun.MP._exact(specfun.MP.whitw(k, specfun.MP.mpc(*m), z)), SKIP)
         assert skipping == own
 
     @settings(max_examples=100, deadline=None, derandomize=True)
@@ -363,8 +370,8 @@ class TestAsymptoticSkip:
                         _signed(_log_uniform(1e-3, 60.0)).map(lambda n: (0.0, n))),
            x=_log_uniform(1e-2, 60.0))
     def test_bessel_k_is_bitwise_mpmaths(self, nu, x):
-        skipping, own = _with_and_without_skip(
-            lambda: specfun.MP.besselk(specfun.MP.mpc(*nu), x))
+        skipping, own = _with_mpmaths_own(
+            lambda: specfun.MP._exact(specfun.MP.besselk(specfun.MP.mpc(*nu), x)), SKIP)
         assert skipping == own
 
     def test_a_cold_eigen_solve_sums_no_doomed_series(self, sums_2f0):
@@ -509,6 +516,71 @@ class TestGammaMemo:
                 with pytest.raises(NonConvergenceError):
                     whittaker_w(1.0, self.ORDER, 0.7)
         assert len(calls) == 2
+
+
+@pytest.fixture
+def hyper_calls(monkeypatch):
+    """(a_s, b_s, z) of every hypergeometric value MP actually computes,
+    memo hits left out."""
+    calls = []
+    plain = specfun.MP.unmemoised["hyper"]
+
+    def counting(a_s, b_s, z, **kwargs):
+        calls.append((a_s, b_s, z))
+        return plain(a_s, b_s, z, **kwargs)
+
+    monkeypatch.setitem(specfun.MP.unmemoised, "hyper", counting)
+    return calls
+
+
+# the imaginary-order float functions, at order i y and argument z
+IMAGINARY_ORDER = {
+    "whittaker_w k=0": lambda y, z: whittaker_w(0.0, OrderParam.imaginary(y), z),
+    "whittaker_w k=1": lambda y, z: whittaker_w(1.0, OrderParam.imaginary(y), z),
+    "bessel_k": lambda y, z: bessel_k(OrderParam.imaginary(y), z),
+    "bessel_i": lambda y, z: bessel_i(OrderParam.imaginary(y), z),
+    "Weber K integrand": lambda y, z: specfun._weber_integrand_imag("K", 5.0, y)[0](z),
+    "Weber I integrand": lambda y, z: specfun._weber_integrand_imag("I", 5.0, y)[0](z),
+}
+
+
+class TestConjugatePairs:
+    """MP takes Gamma, 1/Gamma and 1F1 at the upper member of each
+    conjugate pair and conjugates it for the other; every float value
+    stays the one mpmath's own functions give."""
+
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @given(fn=st.sampled_from(sorted(IMAGINARY_ORDER)),
+           # near-critical orders are in: Gamma's last-bit asymmetry is
+           # most frequent there
+           y=_log_uniform(10 ** -3.5, 200.0),
+           z=_log_uniform(10 ** -1.5, 160.0))
+    def test_float_values_are_bitwise_mpmaths(self, fn, y, z):
+        ours, own = _with_mpmaths_own(lambda: IMAGINARY_ORDER[fn](y, z), CONJUGATE)
+        assert ours.hex() == own.hex()
+
+    def test_a_whittaker_w_computes_each_pair_once(self, monkeypatch, gamma_calls,
+                                                   hyper_calls):
+        passes = []
+        hypercomb = specfun.MP.hypercomb
+
+        def counting(function, params, **kwargs):
+            def h(*args):
+                passes.append(args)
+                return function(*args)
+            return hypercomb(h, params, **kwargs)
+
+        monkeypatch.setattr(specfun.MP, "hypercomb", counting)
+        with specfun.memo():
+            whittaker_w(1.0, OrderParam.imaginary(0.37), 0.7)
+        complex_args = [arg for _, arg, _ in gamma_calls if len(arg) == 2]
+        params = [complex(p) for a_s, b_s, _ in hyper_calls for p in a_s + b_s]
+        assert passes
+        assert all(im[0] == 0 for _, im in complex_args)
+        assert all(p.imag >= 0 for p in params)
+        # per pass one 1F1 and the two 1/Gamma values 1/Gamma(a), 1/Gamma(b)
+        assert len(hyper_calls) == len(passes)
+        assert len(complex_args) == 2 * len(passes)
 
 
 def _kampe_brute(a1, a2, b1, b2, u, v, n=200):
