@@ -1,9 +1,10 @@
 """Command-line interface.
 
 One executable with a subcommand per module, plus a ``reproduce``
-harness that emits the moment grids, eigenvalue-bounds table and
-Laplace agreement table as plot-ready CSV.  CSV output is locale-free:
-comma separated, header row, '.' decimal point, LF line endings.
+harness that emits the moment grids and the eigenvalue-bounds, Laplace
+agreement and stationary-limit tables as plot-ready CSV.  CSV output is
+locale-free: comma separated, header row, '.' decimal point, LF line
+endings.
 """
 
 from __future__ import annotations
@@ -122,6 +123,10 @@ def _params(A):
     return distribution.make_params(eigen.principal_lambda(A))
 
 
+def _methods(args, module):
+    return list(module.METHODS) if args.method == "all" else [args.method]
+
+
 def laplace_rows(p, svals, methods):
     """One row per s: the named routes' values at s, their max relative
     spread and the bessel route's ODE residual.  A refusing route gives
@@ -190,25 +195,16 @@ def cmd_critical_a(args, out: Output):
     return 0
 
 
-def _dist_rows(args, fn):
+def cmd_dist(args, out: Output):
+    """pdf or cdf on a grid: args.dist is the distribution function."""
     p = _params(args.A)
-    xs = parse_grid(args.grid)
-    return [[float(x), fn(p, float(x))] for x in xs]
-
-
-def cmd_pdf(args, out: Output):
-    out.emit_rows(["x", "pdf"], _dist_rows(args, distribution.qsd_pdf))
-    return 0
-
-
-def cmd_cdf(args, out: Output):
-    out.emit_rows(["x", "cdf"], _dist_rows(args, distribution.qsd_cdf))
+    out.emit_rows(["x", args.command],
+                  [[float(x), args.dist(p, float(x))] for x in parse_grid(args.grid)])
     return 0
 
 
 def cmd_moments(args, out: Output):
-    p = _params(args.A)
-    methods = list(moments.METHODS) if args.method == "all" else [args.method]
+    p, methods = _params(args.A), _methods(args, moments)
     series = {m: moments.moment_series(p, args.n_max, m).values for m in methods}
     header = ["n"] + methods + ["max_rel_spread"]
     rows = []
@@ -220,25 +216,9 @@ def cmd_moments(args, out: Output):
 
 
 def cmd_laplace(args, out: Output):
-    svals = parse_s(args.s)
-    if args.limit_check:
-        if ":" in args.s:
-            raise QsdError("--limit-check needs a scalar --s")
-        if args.method not in ("all", "bessel"):
-            raise QsdError(f"--limit-check runs the bessel route only, "
-                           f"got --method {args.method}")
-        s = svals[0]
-        target = laplace.stationary_laplace(s)
-        rows = []
-        for A in (20.0, 50.0, 200.0, 500.0):
-            val = laplace.laplace_bessel(_params(A), s).value
-            rows.append([A, s, val, target, abs(val - target)])
-        out.emit_rows(["A", "s", "bessel", "stationary", "abs_gap"], rows)
-        return 0
-    p = _params(args.A)
-    methods = list(laplace.METHODS) if args.method == "all" else [args.method]
+    svals, methods = parse_s(args.s), _methods(args, laplace)
     out.emit_rows(["s"] + methods + ["max_rel_spread", "ode_residual"],
-                  laplace_rows(p, svals, methods))
+                  laplace_rows(_params(args.A), svals, methods))
     return 0
 
 
@@ -250,6 +230,14 @@ def _sim_config(args):
 def cmd_simulate(args, out: Output):
     config = _sim_config(args)
     emp = simulate(config)
+    # the side files first: a failed write leaves stdout empty
+    if args.histogram_out:
+        centers = 0.5 * (emp.bin_edges[:-1] + emp.bin_edges[1:])
+        write_text(args.histogram_out, csv_text(
+            ["x", "density"], zip(centers, emp.conditional_density), out.precision))
+    if args.survival_out:
+        write_text(args.survival_out, csv_text(
+            ["t", "fraction_alive"], emp.survival, out.precision))
     out.emit_record({
         "A": emp.A,
         "paths": config.paths,
@@ -260,13 +248,6 @@ def cmd_simulate(args, out: Output):
         "lambda_hat_stderr": emp.lambda_hat_stderr,
         "pooled_samples": int(emp.pooled_samples.size),
     })
-    if args.histogram_out:
-        centers = 0.5 * (emp.bin_edges[:-1] + emp.bin_edges[1:])
-        write_text(args.histogram_out, csv_text(
-            ["x", "density"], zip(centers, emp.conditional_density), out.precision))
-    if args.survival_out:
-        write_text(args.survival_out, csv_text(
-            ["t", "fraction_alive"], emp.survival, out.precision))
     return 0
 
 
@@ -290,6 +271,7 @@ def cmd_verify(args, out: Output):
 FIG1_N = (1, 2, 3, 4, 5, 10)
 FIG1_A = (0.05, 0.1, 0.25, 0.5) + tuple(float(a) for a in range(1, 51))
 FIG2_A = (1.0, 3.0, 5.0, 10.0, 30.0, 50.0)
+TABLE_S = (0.1, 1.0, 5.0)
 
 
 def fig1_table():
@@ -318,9 +300,20 @@ def bounds_table():
 def laplace_table():
     rows = []
     for A in (1.0, 5.0, 20.0):
-        rows += [[A] + r for r in laplace_rows(_params(A), (0.1, 1.0, 5.0),
-                                               laplace.METHODS)]
+        rows += [[A] + r for r in laplace_rows(_params(A), TABLE_S, laplace.METHODS)]
     return ["A", "s"] + list(laplace.METHODS) + ["max_rel_spread", "ode_residual"], rows
+
+
+def limit_table():
+    """The bessel transform against its A -> inf limit, the stationary one."""
+    rows = []
+    for A in (20.0, 50.0, 200.0, 500.0):
+        p = _params(A)
+        for s in TABLE_S:
+            val = laplace.laplace_bessel(p, s).value
+            target = laplace.stationary_laplace(s)
+            rows.append([A, s, val, target, abs(val - target)])
+    return ["A", "s", "bessel", "stationary", "abs_gap"], rows
 
 
 # reproduce target -> (file name, table builder)
@@ -329,6 +322,7 @@ TARGETS = {
     "fig2": ("fig2_moments_vs_n.csv", fig2_table),
     "bounds": ("eigenvalue_bounds.csv", bounds_table),
     "laplace-table": ("laplace_agreement.csv", laplace_table),
+    "limit-table": ("stationary_limit.csv", limit_table),
 }
 
 
@@ -360,6 +354,9 @@ def build_parser():
         sp.add_argument("--output", default=None, help="write to file")
         precision(sp)
 
+    def method(sp, module):
+        sp.add_argument("--method", default="all", choices=("all",) + module.METHODS)
+
     sp = sub.add_parser("eigen", help="principal eigenvalue lambda_A")
     level = sp.add_mutually_exclusive_group(required=True)
     level.add_argument("--A", type=float)
@@ -372,29 +369,24 @@ def build_parser():
     common(sp)
     sp.set_defaults(run=cmd_critical_a, format="json")
 
-    for name, fn in (("pdf", cmd_pdf), ("cdf", cmd_cdf)):
+    for name, fn in (("pdf", distribution.qsd_pdf), ("cdf", distribution.qsd_cdf)):
         sp = sub.add_parser(name, help=f"quasi-stationary {name} on a grid")
         sp.add_argument("--A", type=float, required=True)
         sp.add_argument("--grid", required=True, help="lo:hi:n grid in x")
         common(sp)
-        sp.set_defaults(run=fn)
+        sp.set_defaults(run=cmd_dist, dist=fn)
 
     sp = sub.add_parser("moments", help="moment series by independent routes")
     sp.add_argument("--A", type=float, required=True)
     sp.add_argument("--n-max", type=int, default=10)
-    sp.add_argument("--method", default="all",
-                    choices=("all",) + moments.METHODS)
+    method(sp, moments)
     common(sp)
     sp.set_defaults(run=cmd_moments)
 
     sp = sub.add_parser("laplace", help="Laplace transform by five routes")
-    level = sp.add_mutually_exclusive_group(required=True)
-    level.add_argument("--A", type=float)
-    level.add_argument("--limit-check", action="store_true",
-                       help="compare an A-sweep against the stationary transform")
+    sp.add_argument("--A", type=float, required=True)
     sp.add_argument("--s", required=True, help="value or lo:hi:n grid")
-    sp.add_argument("--method", default="all",
-                    choices=("all",) + laplace.METHODS)
+    method(sp, laplace)
     common(sp)
     sp.set_defaults(run=cmd_laplace)
 
@@ -428,8 +420,7 @@ def build_parser():
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        out = Output(args)
-        return args.run(args, out)
+        return args.run(args, Output(args))
     except QsdError as exc:
         sys.stderr.write(json.dumps({
             "error": type(exc).__name__, "message": str(exc)}) + "\n")

@@ -32,6 +32,11 @@ KDF2_S_FLOOR = 1e-8
 # absolute and relative tolerance of the reference quadrature route
 QUADRATURE_TOL = 1e-10
 
+# bessel refuses a value whose largest term is more than this many times
+# larger than the value: accepted values cancel at most ~12x, the
+# tiny-s values that are pure rounding noise 3e9x and more
+BESSEL_CANCELLATION_MAX = 1e6
+
 
 @dataclass(frozen=True)
 class LaplaceEval:
@@ -111,7 +116,8 @@ def laplace_kdf2(p: QsdParams, s: float) -> LaplaceEval:
 def laplace_bessel(p: QsdParams, s: float) -> LaplaceEval:
     """Closed form through modified Bessel functions and incomplete
     Weber integrals; the only analytic route valid uniformly in s, A.
-    Refused with NonConvergenceError where its value is not finite."""
+    Refused with NonConvergenceError where its value is not finite or
+    cancels more than BESSEL_CANCELLATION_MAX (at tiny s)."""
     _check_s(s)
     lam, A = p.eigen.lam, p.eigen.A
     xi = p.eigen.xi
@@ -132,6 +138,13 @@ def laplace_bessel(p: QsdParams, s: float) -> LaplaceEval:
         # from s ~ 6.3e4 on, I(u) overflows and K(u) underflows
         raise NonConvergenceError(
             f"bessel route leaves float range at s={s}, A={A}: value {value}")
+    largest = max(abs(u * ki / p.normalizer), abs(8.0 * lam * u * ki * w_i),
+                  abs(8.0 * lam * u * ii * w_k))
+    if largest > BESSEL_CANCELLATION_MAX * abs(value):
+        # at tiny s the terms cancel down to rounding noise
+        raise NonConvergenceError(
+            f"bessel route cancels at s={s}, A={A}: terms up to {largest:.3g} "
+            f"sum to {value:.3g}")
     return LaplaceEval(s, A, value, "bessel")
 
 

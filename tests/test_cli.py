@@ -5,7 +5,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import pathlib
 import shlex
@@ -15,7 +14,8 @@ import sys
 import pytest
 
 from shiryaev_qsd import laplace
-from shiryaev_qsd.cli import _params, build_parser, fmt, laplace_rows, parse_grid, run
+from shiryaev_qsd.cli import (TARGETS, _params, build_parser, fmt, laplace_rows,
+                              parse_grid, run)
 from shiryaev_qsd.errors import QsdError
 
 
@@ -78,11 +78,11 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [
         ("eigen", "--A", "2", "--grid", "1:2:2"),
-        ("laplace", "--A", "2", "--s", "1", "--limit-check"),
+        ("laplace", "--s", "1"),
         ("moments", "--n-max", "3"),
         ("eigen", "--A", "2", "--tol", "1e-13"),
         ("critical-a", "--tol", "1e-3"),
-    ], ids=["eigen-level-and-grid", "laplace-level-and-limit-check",
+    ], ids=["eigen-level-and-grid", "laplace-no-level",
             "moments-without-level", "eigen-tolerance", "critical-a-tolerance"])
     def test_conflicting_or_missing_level_is_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -107,11 +107,11 @@ class TestExitCodes:
          "NonConvergenceError"),
         (("laplace", "--A", "5", "--s", "1e308", "--method", "bessel"),
          "NonConvergenceError"),
+        (("laplace", "--A", "20", "--s", "1e-60", "--method", "bessel"),
+         "NonConvergenceError"),
         (("moments", "--A", "20", "--n-max", "300", "--method", "recurrence"),
          "NonConvergenceError"),
         (("eigen", "--A", "2", "--log"), "QsdError"),
-        (("laplace", "--s", "1", "--limit-check", "--method", "quadrature"),
-         "QsdError"),
         (("simulate", "--A", "2", "--paths", "10", "--horizon", "1", "--seed", "-1"),
          "ConfigError"),
         (("verify", "--A", "2", "--paths", "10", "--horizon", "1", "--seed", "-1"),
@@ -132,9 +132,9 @@ class TestExitCodes:
             "simulate-level-below-range", "laplace-infinite-s",
             "laplace-moments-overflowing-s", "pdf-grid-to-infinity",
             "eigen-grid-to-infinity", "laplace-bessel-overflowing-s",
-            "laplace-bessel-overflowing-argument",
+            "laplace-bessel-overflowing-argument", "laplace-bessel-cancelling-s",
             "moments-recurrence-overflowing-order", "eigen-log-without-grid",
-            "laplace-limit-check-with-another-route", "simulate-negative-seed",
+            "simulate-negative-seed",
             "verify-negative-seed", "verify-unsolved-level-negative-seed",
             "simulate-infinite-horizon",
             "simulate-overflowing-step-count", "simulate-subnormal-step",
@@ -307,28 +307,23 @@ class TestMomentsAndLaplaceCommands:
 
     def test_residual_at_an_underflowing_step_leaves_null(self, capsys, monkeypatch):
         # at s = 1e-170 the residual's (h/2)^2 underflows to 0: it is
-        # refused before its four extra bessel values are asked for
-        bessel, calls = laplace.ROUTES["bessel"], []
+        # refused before its four extra bessel values are asked for.  The
+        # real bessel route refuses there too (its terms cancel), so a
+        # stand-in that answers 1 keeps the row's bessel value
+        calls = []
 
-        def counting(p_, s_):
+        def answering(p_, s_):
             calls.append(s_)
-            return bessel(p_, s_)
+            return laplace.LaplaceEval(s_, p_.eigen.A, 1.0, "bessel")
 
-        monkeypatch.setitem(laplace.ROUTES, "bessel", counting)
+        monkeypatch.setitem(laplace.ROUTES, "bessel", answering)
         code, out, _ = run_cli(capsys, "laplace", "--A", "20", "--s", "1e-170",
                                "--format", "json")
         assert code == 0
         [row] = json.loads(out)
-        assert math.isfinite(row["bessel"])
+        assert row["bessel"] == 1.0
         assert row["ode_residual"] is None
         assert calls == [1e-170]
-
-    def test_limit_check_gap_shrinks(self, capsys):
-        code, out, _ = run_cli(capsys, "laplace", "--s", "1", "--limit-check")
-        assert code == 0
-        rows = list(csv.DictReader(io.StringIO(out)))
-        gaps = [float(r["abs_gap"]) for r in rows]
-        assert all(a > b for a, b in zip(gaps, gaps[1:]))
 
     @pytest.mark.parametrize("s", ["-1", "nan"])
     def test_bad_s_is_a_clean_failure(self, capsys, s):
@@ -351,11 +346,6 @@ class TestMomentsAndLaplaceCommands:
         assert row["kdf1"] is None and row["kdf2"] is None
         assert row["moments"] is None
         assert row["bessel"] > 0 and row["quadrature"] > 0
-
-    def test_limit_check_needs_scalar_s(self, capsys):
-        code, _, err = run_cli(capsys, "laplace", "--s", "0.1:5:3", "--limit-check")
-        assert code == 1
-        assert json.loads(err)["error"] == "QsdError"
 
 
 # the reproduce CSVs at the default precision; a change must keep their bytes
@@ -394,6 +384,15 @@ class TestSimulateAndVerify:
         assert t == pytest.approx([k / 10 for k in range(31)])
         assert alive[0] == 1.0 and 0 < alive[-1] < 1
         assert all(a >= b for a, b in zip(alive, alive[1:]))
+
+    def test_unwritable_side_file_leaves_stdout_empty(self, capsys, tmp_path):
+        # the record is printed only once every side file is written
+        target = tmp_path / "missing" / "h.csv"
+        code, out, err = run_cli(capsys, "simulate", *SMALL_RUN,
+                                 "--histogram-out", str(target))
+        assert code == 1
+        assert out == ""
+        assert str(target) in json.loads(err)["message"]
 
     # dt 1e-3 misses barrier crossings between steps and fails the 5% gate
     # on lambda; dt 1e-4 passes it
@@ -470,6 +469,21 @@ class TestReproduce:
                                "--out-dir", str(tmp_path))
         assert code == 0
         assert_golden(out.strip())
+
+    def test_limit_table_gap_shrinks_with_level(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, "reproduce", "limit-table",
+                               "--out-dir", str(tmp_path))
+        assert code == 0
+        assert_golden(out.strip())
+        rows = list(csv.DictReader(open(out.strip())))
+        for s in ("0.1", "1", "5"):
+            gaps = [float(r["abs_gap"]) for r in rows if r["s"] == s]
+            assert len(gaps) == 4
+            assert all(a > b for a, b in zip(gaps, gaps[1:]))
+
+    def test_every_target_has_a_golden_file(self):
+        for name, _ in TARGETS.values():
+            assert (GOLDEN / name).is_file(), name
 
     def test_bounds_table(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "reproduce", "bounds",

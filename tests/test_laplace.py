@@ -65,6 +65,14 @@ class TestBasicProperties:
         with pytest.raises(NonConvergenceError, match="s=64000.0"):
             laplace_bessel(p, 6.4e4)
 
+    @pytest.mark.parametrize("A, s", [(20.0, 1e-60), (20.0, 1e-100), (1.0, 1e-60)])
+    def test_bessel_refuses_where_its_terms_cancel(self, params_for, A, s):
+        # at tiny s the terms cancel to rounding noise (values near -1e-20
+        # where the transform is 1): a ratio of 3e9 and more, against at
+        # most ~12 for the values the route returns
+        with pytest.raises(NonConvergenceError, match=f"s={s}, A={A}:"):
+            laplace_bessel(params_for(A), s)
+
     def test_unknown_method_rejected(self, params_for):
         with pytest.raises(ValueError):
             evaluate(params_for(5.0), 1.0, "fourier")
@@ -164,9 +172,10 @@ class TestStationaryLimit:
         assert gaps[0] > gaps[1] > gaps[2]
 
     def test_gap_below_one_thousandth_at_level_five_hundred(self, params_for):
-        # the gap decays like ~1.55/A (the absorbed law is missing the
+        # the gap decays like ~ln(A)/(4A) (the absorbed law is missing the
         # ~2/A stationary tail mass above the level), so at level 500 it
-        # sits near 3e-3; asserted at the stated 1e-3 target regardless
+        # sits near 3e-3 and falls below 1e-3 only between A = 1,850 and
+        # 1,900; asserted at the stated 1e-3 target regardless
         p = params_for(500.0)
         gap = abs(laplace_bessel(p, 1.0).value - stationary_laplace(1.0))
         assert gap <= 1e-3
