@@ -357,6 +357,9 @@ def build_parser():
     def method(sp, module):
         sp.add_argument("--method", default="all", choices=("all",) + module.METHODS)
 
+    def absorption_level(sp):
+        sp.add_argument("--A", type=float, required=True)
+
     sp = sub.add_parser("eigen", help="principal eigenvalue lambda_A")
     level = sp.add_mutually_exclusive_group(required=True)
     level.add_argument("--A", type=float)
@@ -371,20 +374,20 @@ def build_parser():
 
     for name, fn in (("pdf", distribution.qsd_pdf), ("cdf", distribution.qsd_cdf)):
         sp = sub.add_parser(name, help=f"quasi-stationary {name} on a grid")
-        sp.add_argument("--A", type=float, required=True)
+        absorption_level(sp)
         sp.add_argument("--grid", required=True, help="lo:hi:n grid in x")
         common(sp)
         sp.set_defaults(run=cmd_dist, dist=fn)
 
     sp = sub.add_parser("moments", help="moment series by independent routes")
-    sp.add_argument("--A", type=float, required=True)
+    absorption_level(sp)
     sp.add_argument("--n-max", type=int, default=10)
     method(sp, moments)
     common(sp)
     sp.set_defaults(run=cmd_moments)
 
     sp = sub.add_parser("laplace", help="Laplace transform by five routes")
-    sp.add_argument("--A", type=float, required=True)
+    absorption_level(sp)
     sp.add_argument("--s", required=True, help="value or lo:hi:n grid")
     method(sp, laplace)
     common(sp)
@@ -392,7 +395,7 @@ def build_parser():
 
     def sim(name, fn, help_):
         sp = sub.add_parser(name, help=help_)
-        sp.add_argument("--A", type=float, required=True)
+        absorption_level(sp)
         sp.add_argument("--r0", type=float, default=0.0)
         sp.add_argument("--dt", type=float, default=1e-4)
         sp.add_argument("--horizon", type=float, default=None)

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 from . import specfun
 from .eigen import EigenSolution
+from .errors import DomainError
 from .specfun import whittaker_w
 
 # below x_min the argument 2/x of the Whittaker W would overflow its
@@ -42,7 +43,7 @@ def make_params(eigen: EigenSolution) -> QsdParams:
     A = eigen.A
     norm = math.exp(-1.0 / A) * whittaker_w(0.0, eigen.xi.halved(), 2.0 / A)
     if not (norm > 0 and math.isfinite(norm)):
-        raise ValueError(f"normalizer must be positive and finite, got {norm}")
+        raise DomainError(f"normalizer at A={A} must be positive and finite, got {norm}")
     return QsdParams(eigen=eigen, normalizer=norm)
 
 

@@ -22,10 +22,11 @@ context.  Which block is open is per thread (a ``ContextVar``).
 ``MP`` also skips mpmath's first, asymptotic 2F0 attempt in ``hyperu``
 (under whitw) and ``_hyp2f0`` (under besselk and hyp1f1) when it must
 fail: for W at arguments below about 70 (every eigen solve's 2/A is at
-most 40) it sums ~100 terms only to raise NoConvergence.  The skip is
-taken only when the terms' log2 sizes stay 8 bits above mpmath's stop
-threshold up to its term limit; the attempt could only have raised, so
-the skip changes no bit.
+most 40) it sums ~100 terms only to raise NoConvergence.  One hook at
+``hypsum`` raises that NoConvergence at once when the terms' log2 sizes
+stay 8 bits above mpmath's stop threshold up to its term limit; mpmath's
+own callers then run their own fallbacks.  The attempt could only have
+raised, so the skip changes no bit.
 
 ``MP`` computes Gamma, 1/Gamma and each hypergeometric series at real z
 at the upper member of its conjugate pair and conjugates it for the
@@ -93,10 +94,9 @@ def memoised(fn, key):
     return call
 
 
-# mpmath 1.3's own hyperu (functions/bessel.py) and _hyp2f0
-# (functions/hypergeometric.py); MP's overrides mirror their fallbacks
-MPMATH_HYPERU = MPContext.hyperu
-MPMATH_HYP2F0 = MPContext._hyp2f0
+# mpmath 1.3's own hypergeometric summation (ctx_mp.py), which MP's
+# hypsum hook delegates to (looked up at call time)
+MPMATH_HYPSUM = MPContext.hypsum
 
 # the raise of mpmath 1.3's hypergeometric summator (libmp/libhyper.py)
 _HYPSUM_NO_CONVERGENCE = ("Hypergeometric series converges too slowly. "
@@ -120,9 +120,10 @@ def _doomed_2f0(a, b, x, prec, maxterms) -> bool:
     return bool(np.isfinite(log_terms[-1]) and log_terms.min() >= 8 - (prec + 25))
 
 
-# the keywords under which the 2F0 attempt is still predicted; a call
-# with maxterms or any other goes to mpmath unchanged
-_PREDICTED_KWARGS = {"maxprec", "force_series"}
+# the keywords under which a 2F0 sum is still predicted: the asymptotic
+# attempts of hyperu and _hyp2f0 pass maxterms; a sum without maxterms or
+# with any other keyword goes to mpmath unchanged
+_PREDICTED_KWARGS = {"maxterms", "maxprec", "force_series"}
 
 
 class _MemoContext(MPContext):
@@ -145,8 +146,10 @@ class _MemoContext(MPContext):
     6,776 substituted Gamma values (2.8%) and none of 3,578 series
     differed from its own at working precision; no float value moved.
 
-    hyperu and _hyp2f0 skip the asymptotic 2F0 attempt where _doomed_2f0
-    says it must raise; it leaves no state, so the skip changes no bit."""
+    hypsum raises NoConvergence at once for a 2F0 sum that _doomed_2f0
+    says must raise; the sum leaves no state, and mpmath's hyperu and
+    _hyp2f0 catch the raise and run their own fallbacks, so the skip
+    changes no bit."""
 
     def __init__(self):
         super().__init__()
@@ -160,8 +163,6 @@ class _MemoContext(MPContext):
             # mpmath numbers compare and hash by exact value
             lambda a_s, b_s, z, kwargs: ("hyper", tuple(a_s), tuple(b_s), z, kwargs,
                                          *self._prec_rounding))
-        # mpmath's constructor sets its own functions on the class
-        self.hyperu, self._hyp2f0 = self._skipping_hyperu, self._skipping_hyp2f0
         self.hyper = self._upper_hyper
 
     def _exact(self, x):
@@ -198,43 +199,11 @@ class _MemoContext(MPContext):
                 return c(self._memo_hyper([c(a) for a in am], [c(b) for b in bm], zm, kw))
         return self.unmemoised["hyper"](a_s, b_s, z, **kwargs)
 
-    def _skipping_hyperu(self, a, b, z, **kwargs):
-        # mirrors mpmath 1.3 hyperu: 2F0(a, 1+a-b; -1/z) at prec + 10
-        # with maxterms prec + 10, else hypercomb of two 1F1 terms
-        am, _ = self._convert_param(a)
-        bm, _ = self._convert_param(b)
-        zm = self.convert(z)
-        prec = self.prec + 10
-        if not (zm and kwargs.keys() <= _PREDICTED_KWARGS
-                and _doomed_2f0(am, 1 + am - bm, 1 / zm, prec, prec)):
-            return MPMATH_HYPERU(self, a, b, z, **kwargs)
-
-        def h(a, b):
-            w = self.sinpi(b)
-            T1 = ([self.pi, w], [1, -1], [], [a - b + 1, b], [a], [b], zm)
-            T2 = ([-self.pi, w, zm], [1, -1, 1 - b], [], [a, 2 - b], [a - b + 1], [2 - b], zm)
-            return T1, T2
-        return self.hypercomb(h, [am, bm], **kwargs)
-
-    def _skipping_hyp2f0(self, a_s, b_s, z, **kwargs):
-        # mirrors mpmath 1.3 _hyp2f0: 2F0(a, b; z) at prec with maxterms
-        # prec; on NoConvergence re-raise under force_series, else
-        # hypercomb of two 1F1 terms
-        (a, _), (b, _) = a_s
-        if not (kwargs.keys() <= _PREDICTED_KWARGS
-                and _doomed_2f0(a, b, z, self.prec, self.prec)):
-            return MPMATH_HYP2F0(self, a_s, b_s, z, **kwargs)
-        if kwargs.get("force_series"):
+    def hypsum(self, p, q, flags, coeffs, z, accurate_small=True, **kwargs):
+        if ((p, q) == (2, 0) and "maxterms" in kwargs and kwargs.keys() <= _PREDICTED_KWARGS
+                and _doomed_2f0(*coeffs, z, self.prec, kwargs["maxterms"])):
             raise NoConvergence(_HYPSUM_NO_CONVERGENCE)
-
-        def h(a, b):
-            w = self.sinpi(b)
-            rz = -1 / z
-            T1 = ([self.pi, w, rz], [1, -1, a], [], [a - b + 1, b], [a], [b], rz)
-            T2 = ([-self.pi, w, rz], [1, -1, 1 + a - b], [], [a, 2 - b], [a - b + 1],
-                  [2 - b], rz)
-            return T1, T2
-        return self.hypercomb(h, [a, 1 + a - b], **kwargs)
+        return MPMATH_HYPSUM(self, p, q, flags, coeffs, z, accurate_small, **kwargs)
 
 
 MP = _MemoContext()

@@ -13,10 +13,9 @@ from shiryaev_qsd.distribution import (
     stationary_cdf,
     stationary_pdf,
 )
-from shiryaev_qsd.eigen import EigenSolution, principal_lambda
-from shiryaev_qsd.errors import EvaluationDomainError
+from shiryaev_qsd.eigen import EigenSolution, principal_lambda, xi_of_lambda
+from shiryaev_qsd.errors import DomainError, EvaluationDomainError
 from shiryaev_qsd.numerics import integrate
-from shiryaev_qsd.specfun import OrderParam
 
 
 class TestMakeParams:
@@ -36,11 +35,11 @@ class TestMakeParams:
         assert make_params(sol) == make_params(sol)
 
     def test_rejects_degenerate_solution(self):
-        # a fabricated solution whose normalizer underflows to zero
-        bogus = EigenSolution(A=1e-4, lam=2.0, xi=OrderParam.imaginary(math.sqrt(15.0)),
-                              residual=0.0)
-        with pytest.raises(ValueError):
-            make_params(bogus)
+        # fabricated solutions below A_MIN whose normalizer underflows to zero
+        for A, lam in ((1e-4, 2.0), (0.003, 5.6e4), (0.002, 1.3e5)):
+            bogus = EigenSolution(A=A, lam=lam, xi=xi_of_lambda(lam), residual=0.0)
+            with pytest.raises(DomainError, match=f"normalizer at A={A} "):
+                make_params(bogus)
 
 
 class TestQsdPdf:

@@ -311,12 +311,10 @@ def _signed(magnitudes):
 
 
 def _with_mpmaths_own(evaluate, names):
-    """evaluate() at WORK_DPS with MP's overrides, then with mpmath's own
+    """evaluate() at WORK_DPS through MP, then with mpmath's own
     functions ``names`` swapped in."""
     MP = specfun.MP
-    own = {"hyperu": types.MethodType(specfun.MPMATH_HYPERU, MP),
-           "_hyp2f0": types.MethodType(specfun.MPMATH_HYP2F0, MP),
-           **MP.unmemoised}
+    own = {"hypsum": types.MethodType(specfun.MPMATH_HYPSUM, MP), **MP.unmemoised}
     with MP.workdps(specfun.WORK_DPS):
         ours = evaluate()
         with pytest.MonkeyPatch.context() as patch:
@@ -326,28 +324,29 @@ def _with_mpmaths_own(evaluate, names):
     return ours, theirs
 
 
-SKIP = ("hyperu", "_hyp2f0")
+SKIP = ("hypsum",)
 CONJUGATE = ("gamma", "rgamma", "hyper")
 
 
 @pytest.fixture
 def sums_2f0(monkeypatch):
-    """(1/|x|, raised) of every 2F0(a, b; x) sum MP.hypsum runs."""
+    """(1/|x|, raised) of every 2F0(a, b; x) sum mpmath's summation runs
+    under MP's hypsum hook."""
     sums = []
-    plain = specfun.MP.hypsum
+    plain = specfun.MPMATH_HYPSUM
 
-    def counting(p, q, flags, coeffs, x, **kwargs):
+    def counting(ctx, p, q, flags, coeffs, x, *args, **kwargs):
         if (p, q) != (2, 0):
-            return plain(p, q, flags, coeffs, x, **kwargs)
+            return plain(ctx, p, q, flags, coeffs, x, *args, **kwargs)
         try:
-            value = plain(p, q, flags, coeffs, x, **kwargs)
+            value = plain(ctx, p, q, flags, coeffs, x, *args, **kwargs)
         except NoConvergence:
             sums.append((1 / abs(complex(x)), True))
             raise
         sums.append((1 / abs(complex(x)), False))
         return value
 
-    monkeypatch.setattr(specfun.MP, "hypsum", counting)
+    monkeypatch.setattr(specfun, "MPMATH_HYPSUM", counting)
     return sums
 
 
@@ -372,6 +371,22 @@ class TestAsymptoticSkip:
     def test_bessel_k_is_bitwise_mpmaths(self, nu, x):
         skipping, own = _with_mpmaths_own(
             lambda: specfun.MP._exact(specfun.MP.besselk(specfun.MP.mpc(*nu), x)), SKIP)
+        assert skipping == own
+
+    def test_a_forced_doomed_2f0_raises_mpmaths_message(self):
+        a, b, x = 0.5 + 2j, 0.5 - 2j, -0.5
+        MP = specfun.MP
+
+        def forced():
+            assert specfun._doomed_2f0(a, b, x, MP.prec, MP.prec)
+            with pytest.raises(NoConvergence) as info:
+                MP.hyp2f0(a, b, x, force_series=True)
+            return str(info.value)
+
+        skipping, own = _with_mpmaths_own(forced, SKIP)
+        assert skipping == own == specfun._HYPSUM_NO_CONVERGENCE
+        # without force_series mpmath takes its fallback
+        skipping, own = _with_mpmaths_own(lambda: MP._exact(MP.hyp2f0(a, b, x)), SKIP)
         assert skipping == own
 
     def test_a_cold_eigen_solve_sums_no_doomed_series(self, sums_2f0):
