@@ -242,7 +242,7 @@ def cmd_simulate(args, out: Output):
         "A": emp.A,
         "paths": config.paths,
         "dt": config.dt,
-        "horizon": config.resolved_horizon(),
+        "horizon": config.horizon,
         "seed": config.seed,
         "lambda_hat": emp.lambda_hat,
         "lambda_hat_stderr": emp.lambda_hat_stderr,
@@ -396,11 +396,9 @@ def build_parser():
     def sim(name, fn, help_):
         sp = sub.add_parser(name, help=help_)
         absorption_level(sp)
-        sp.add_argument("--r0", type=float, default=0.0)
-        sp.add_argument("--dt", type=float, default=1e-4)
-        sp.add_argument("--horizon", type=float, default=None)
-        sp.add_argument("--paths", type=int, default=200_000)
-        sp.add_argument("--seed", type=int, default=0)
+        for option, type_ in (("r0", float), ("dt", float), ("horizon", float),
+                              ("paths", int), ("seed", int)):
+            sp.add_argument(f"--{option}", type=type_, default=getattr(SimConfig, option))
         common(sp)
         sp.set_defaults(run=fn, format="json")
         return sp

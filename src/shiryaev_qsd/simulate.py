@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .distribution import QsdParams, qsd_cdf
@@ -48,10 +49,12 @@ def default_horizon(A: float) -> float:
 
 @dataclass(frozen=True)
 class SimConfig:
+    """One Monte Carlo run, refused or accepted at construction."""
+
     A: float
     r0: float = 0.0
     dt: float = 1e-4
-    horizon: float | None = None  # None -> default_horizon(A)
+    horizon: float | None = None  # None -> default_horizon(A), set at construction
     paths: int = 200_000
     seed: int = 0
 
@@ -63,24 +66,39 @@ class SimConfig:
             raise ConfigError(f"dt must be > 0, got {self.dt}")
         if not (0.0 <= self.r0 < self.A):
             raise ConfigError(f"need 0 <= r0 < A, got r0={self.r0}, A={self.A}")
-        if self.horizon is not None and not self.horizon > 0:
+        if self.horizon is None:
+            object.__setattr__(self, "horizon", default_horizon(self.A))
+        elif not self.horizon > 0:
             raise ConfigError(f"horizon must be > 0, got {self.horizon}")
         # simulate() rounds the horizon and the snapshot and record
         # intervals to whole steps
-        if not math.isfinite(max(self.resolved_horizon(), SNAPSHOT_DT) / self.dt):
+        if not math.isfinite(max(self.horizon, SNAPSHOT_DT) / self.dt):
             raise ConfigError(f"too many steps of dt={self.dt} for "
-                              f"horizon={self.resolved_horizon()}")
-        steps = round(self.resolved_horizon() / self.dt)
-        if self.paths * steps > MAX_PATH_STEPS:
-            raise ConfigError(f"{self.paths} paths of {steps:.3g} steps exceed "
+                              f"horizon={self.horizon}")
+        if self.n_steps < 1:
+            raise ConfigError("horizon shorter than one time step")
+        if self.paths * self.n_steps > MAX_PATH_STEPS:
+            raise ConfigError(f"{self.paths} paths of {self.n_steps:.3g} steps exceed "
                               f"MAX_PATH_STEPS = {MAX_PATH_STEPS:g} path-steps")
+        # simulate() records every record_every steps and at the last one; 3
+        # are in the fit window iff the third latest, k, has k*dt in it (never k <= 0)
+        last = self.n_steps // self.record_every * self.record_every
+        steps = {self.n_steps} | {last - i * self.record_every for i in range(3)}
+        held = sum(k * self.dt >= self.horizon / 2.0 for k in sorted(steps)[-3:])
+        if held < 3:
+            raise ConfigError(
+                f"the fit window t >= horizon/2 holds {held} survival records, "
+                "a tail fit needs at least 3; lengthen the horizon")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
-    def resolved_horizon(self) -> float:
-        if self.horizon is not None:
-            return self.horizon
-        return default_horizon(self.A)
+    @cached_property
+    def n_steps(self) -> int:
+        return int(round(self.horizon / self.dt))
+
+    @cached_property
+    def record_every(self) -> int:
+        return max(1, int(round(RECORD_DT / self.dt)))
 
 
 @dataclass(frozen=True)
@@ -95,39 +113,20 @@ class EmpiricalQsd:
     pooled_samples: np.ndarray = field(repr=False)
 
 
-def _fit_decay(times, alive):
-    """Count-weighted least-squares slope of log(alive) vs t."""
-    import numpy as np
-
-    mask = alive > 0
-    t, n = times[mask], alive[mask]
-    if t.size < 3:
-        raise ConfigError(
-            f"the fit window t >= horizon/2 holds {t.size} populated survival "
-            "records, a tail fit needs at least 3; lengthen the horizon")
-    # var(log N) ~ 1/N for Poisson counts, so weights sqrt(N) make the
-    # unscaled covariance directly interpretable
-    coef, cov = np.polyfit(t, np.log(n), 1, w=np.sqrt(n), cov="unscaled")
-    return -coef[0], math.sqrt(abs(cov[0, 0]))
-
-
 def simulate(config: SimConfig) -> EmpiricalQsd:
     """Run the Euler-Maruyama scheme and assemble the empirical QSD."""
     import numpy as np
 
-    A = config.A
-    dt = config.dt
-    horizon = config.resolved_horizon()
-    n_steps = int(round(horizon / dt))
-    if n_steps < 1:
-        raise ConfigError("horizon shorter than one time step")
+    A, dt, horizon = config.A, config.dt, config.horizon
+    n_steps, record_every = config.n_steps, config.record_every
     burn_in = horizon / 2.0
-
-    record_every = max(1, int(round(RECORD_DT / dt)))
     snap_every = max(1, int(round(SNAPSHOT_DT / dt)))
 
     rng = np.random.default_rng(config.seed)
-    r = np.full(config.paths, float(config.r0))
+    try:
+        r = np.full(config.paths, float(config.r0))
+    except MemoryError as exc:
+        raise ConfigError(f"{config.paths} paths do not fit in memory: {exc}") from exc
     sqdt = math.sqrt(dt)
 
     times, alive = [0.0], [config.paths]
@@ -152,8 +151,12 @@ def simulate(config: SimConfig) -> EmpiricalQsd:
     alive = np.asarray(alive, dtype=float)
     survival = np.column_stack([times, alive / config.paths])
 
+    # count-weighted least-squares slope of log(alive) vs t over the fit
+    # window: var(log N) ~ 1/N for Poisson counts, so weights sqrt(N) make
+    # the unscaled covariance directly interpretable
     tail = times >= burn_in
-    lambda_hat, stderr = _fit_decay(times[tail], alive[tail])
+    t, n = times[tail], alive[tail]
+    coef, cov = np.polyfit(t, np.log(n), 1, w=np.sqrt(n), cov="unscaled")
 
     pooled = np.concatenate([snapshots[t] for t in sorted(snapshots)])
     edges = np.linspace(0.0, A, BINS + 1)
@@ -164,8 +167,8 @@ def simulate(config: SimConfig) -> EmpiricalQsd:
         bin_edges=edges,
         conditional_density=density,
         survival=survival,
-        lambda_hat=lambda_hat,
-        lambda_hat_stderr=stderr,
+        lambda_hat=-coef[0],
+        lambda_hat_stderr=math.sqrt(abs(cov[0, 0])),
         snapshots=snapshots,
         pooled_samples=pooled,
     )
@@ -173,7 +176,6 @@ def simulate(config: SimConfig) -> EmpiricalQsd:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    A: float
     sup_distance: float
     lambda_hat: float
     lambda_analytic: float
@@ -213,7 +215,6 @@ def compare_to_analytic(emp: EmpiricalQsd, p: QsdParams) -> ComparisonReport:
     lam = p.eigen.lam
     rel = abs(emp.lambda_hat - lam) / lam
     return ComparisonReport(
-        A=emp.A,
         sup_distance=sup,
         lambda_hat=emp.lambda_hat,
         lambda_analytic=lam,

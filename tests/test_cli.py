@@ -125,6 +125,9 @@ class TestExitCodes:
          "ConfigError"),
         (("simulate", "--A", "2", "--paths", "10", "--horizon", "1e-15", "--dt", "1e-300"),
          "ConfigError"),
+        (("verify", "--A", "2", "--paths", "10", "--horizon", "1e-5"), "ConfigError"),
+        (("simulate", "--A", "2", "--paths", "10", "--horizon", "0.2", "--dt", "1e-3"),
+         "ConfigError"),
     ], ids=["laplace-s-not-a-number", "eigen-log-grid-from-zero",
             "moments-negative-order",
             "eigen-level-below-range", "cdf-level-below-range",
@@ -138,7 +141,8 @@ class TestExitCodes:
             "verify-negative-seed", "verify-unsolved-level-negative-seed",
             "simulate-infinite-horizon",
             "simulate-overflowing-step-count", "simulate-subnormal-step",
-            "simulate-path-steps-above-cap"])
+            "simulate-path-steps-above-cap", "verify-zero-steps",
+            "simulate-short-fit-window"])
     def test_bad_input_is_a_clean_failure(self, capsys, whitw_calls, argv, error):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1

@@ -11,6 +11,8 @@ import pkgutil
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import shiryaev_qsd
 from shiryaev_qsd import eigen
@@ -21,6 +23,7 @@ from shiryaev_qsd.errors import (
     MismatchedAError,
 )
 from shiryaev_qsd.simulate import (
+    RECORD_DT,
     ComparisonReport,
     SimConfig,
     compare_to_analytic,
@@ -55,11 +58,39 @@ class TestSimConfig:
             SimConfig(A=2.0, horizon=math.inf)
         with pytest.raises(ConfigError, match="MAX_PATH_STEPS"):
             SimConfig(A=2.0, paths=10, horizon=1e-15, dt=1e-300)
+        # a run that could not fit its decay rate is refused before it starts
+        with pytest.raises(ConfigError, match="shorter than one time step"):
+            SimConfig(A=2.0, dt=1e-3, horizon=4e-4, paths=100)
+        with pytest.raises(ConfigError, match="holds 2 survival records"):
+            SimConfig(A=2.0, dt=1e-3, horizon=0.2, paths=100)
 
     def test_default_horizon_scales_with_decay_time(self):
         assert default_horizon(2.0) == pytest.approx(20.0 / (0.5 + 1.0 / 6.0))
-        assert SimConfig(A=2.0).resolved_horizon() == default_horizon(2.0)
-        assert SimConfig(A=2.0, horizon=7.0).resolved_horizon() == 7.0
+        assert SimConfig(A=2.0).horizon == default_horizon(2.0)
+        assert SimConfig(A=2.0, horizon=7.0).horizon == 7.0
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(horizon=st.one_of(st.floats(1e-4, 5.0),
+                             st.integers(1, 100).map(lambda m: m * RECORD_DT / 2)),
+           dt=st.floats(math.log(1e-3), 0.0).map(math.exp))
+    @example(horizon=0.35, dt=1e-3)
+    @example(horizon=5e-4, dt=1e-3)
+    @example(horizon=0.3, dt=0.1)
+    def test_refused_exactly_when_the_run_is_unfit(self, horizon, dt):
+        # replay simulate()'s step and record schedule: the tail fit needs
+        # at least 3 survival records at t >= horizon/2
+        n = round(horizon / dt)
+        every = max(1, round(RECORD_DT / dt))
+        held = sum(k * dt >= horizon / 2.0
+                   for k in range(1, n + 1) if k % every == 0 or k == n)
+        # one path never nears the barrier at the top of the range
+        run = dict(A=eigen.A_MAX, dt=dt, horizon=horizon, paths=1)
+        if n < 1 or held < 3:
+            with pytest.raises(ConfigError):
+                SimConfig(**run)
+        else:
+            t = simulate(SimConfig(**run)).survival[:, 0]
+            assert np.sum(t >= horizon / 2.0) == held
 
     def test_infinite_level_needs_explicit_horizon(self):
         # the free process is outside the supported range, with or
@@ -108,8 +139,16 @@ class TestAbsorption:
 
     def test_short_horizon_is_a_config_error_while_paths_live(self):
         # records at t = 0, 0.1, 0.2 leave two in the fit window t >= 0.1
-        with pytest.raises(ConfigError, match="holds 2 populated survival records"):
+        with pytest.raises(ConfigError, match="holds 2 survival records"):
             simulate(SimConfig(A=2.0, dt=1e-3, horizon=0.2, paths=100, seed=0))
+
+    def test_unallocatable_path_state_is_a_config_error(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise MemoryError("stubbed allocation")
+
+        monkeypatch.setattr(np, "full", refuse)
+        with pytest.raises(ConfigError, match="20000 paths do not fit in memory"):
+            simulate(_small())
 
     def test_survival_curve_is_monotone_and_normalized(self):
         emp = simulate(_small())
