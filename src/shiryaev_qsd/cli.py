@@ -197,13 +197,14 @@ def cmd_critical_a(args, out: Output):
 
 def cmd_dist(args, out: Output):
     """pdf or cdf on a grid: args.dist is the distribution function."""
+    grid = parse_grid(args.grid)
     p = _params(args.A)
-    out.emit_rows(["x", args.command],
-                  [[float(x), args.dist(p, float(x))] for x in parse_grid(args.grid)])
+    out.emit_rows(["x", args.command], [[float(x), args.dist(p, float(x))] for x in grid])
     return 0
 
 
 def cmd_moments(args, out: Output):
+    moments.check_n_max(args.n_max)
     p, methods = _params(args.A), _methods(args, moments)
     series = {m: moments.moment_series(p, args.n_max, m).values for m in methods}
     header = ["n"] + methods + ["max_rel_spread"]
@@ -217,6 +218,8 @@ def cmd_moments(args, out: Output):
 
 def cmd_laplace(args, out: Output):
     svals, methods = parse_s(args.s), _methods(args, laplace)
+    for s in svals:
+        laplace.check_s(float(s))
     out.emit_rows(["s"] + methods + ["max_rel_spread", "ode_residual"],
                   laplace_rows(_params(args.A), svals, methods))
     return 0

@@ -46,7 +46,8 @@ class LaplaceEval:
     method: str
 
 
-def _check_s(s):
+def check_s(s):
+    """The transform's domain: finite s >= 0; DomainError otherwise."""
     if not s >= 0:
         raise DomainError(f"s must be >= 0, got {s}")
     if not math.isfinite(s):
@@ -55,7 +56,7 @@ def _check_s(s):
 
 def laplace_quadrature(p: QsdParams, s: float) -> LaplaceEval:
     """Direct integral of e^{-sx} against the closed-form pdf."""
-    _check_s(s)
+    check_s(s)
     A = p.eigen.A
     res = numerics.integrate(lambda x: math.exp(-s * x) * qsd_pdf(p, x), 0.0, A,
                              tol=QUADRATURE_TOL)
@@ -66,7 +67,7 @@ def laplace_moment_series(p: QsdParams, s: float) -> LaplaceEval:
     """Taylor expansion around s = 0, with the moments regenerated from
     the recurrence at a working precision sized to the alternating-sum
     cancellation (the partial terms peak near exp(sA))."""
-    _check_s(s)
+    check_s(s)
     lam, A = p.eigen.lam, p.eigen.A
     peak = s * A / math.log(10.0)
     dps = specfun.series_dps(peak, f"moment series at s={s}, A={A}")
@@ -89,7 +90,7 @@ def laplace_moment_series(p: QsdParams, s: float) -> LaplaceEval:
 def laplace_kdf1(p: QsdParams, s: float) -> LaplaceEval:
     """Double series with numerator pair -1/2 -+ xi/2 and denominator
     pair 1/2 -+ xi/2, evaluated at (-sA, 2s)."""
-    _check_s(s)
+    check_s(s)
     A = p.eigen.A
     hx = p.eigen.xi.halved().value
     value = kampe_de_feriet(-0.5 - hx, -0.5 + hx, 0.5 - hx, 0.5 + hx,
@@ -100,7 +101,7 @@ def laplace_kdf1(p: QsdParams, s: float) -> LaplaceEval:
 def laplace_kdf2(p: QsdParams, s: float) -> LaplaceEval:
     """(lambda/s) (F[...] - e^{-sA}) with the repeated-parameter double
     series; exactly 1 at s = 0, and refused for 0 < s < KDF2_S_FLOOR."""
-    _check_s(s)
+    check_s(s)
     lam, A = p.eigen.lam, p.eigen.A
     if s == 0.0:
         return LaplaceEval(s, A, 1.0, "kdf2")
@@ -118,7 +119,7 @@ def laplace_bessel(p: QsdParams, s: float) -> LaplaceEval:
     Weber integrals; the only analytic route valid uniformly in s, A.
     Refused with NonConvergenceError where its value is not finite or
     cancels more than BESSEL_CANCELLATION_MAX (at tiny s)."""
-    _check_s(s)
+    check_s(s)
     lam, A = p.eigen.lam, p.eigen.A
     xi = p.eigen.xi
     if s == 0.0:
@@ -153,7 +154,7 @@ def stationary_laplace(s: float) -> float:
     s = 0 by the small-argument limit of K_1."""
     from scipy.special import kv
 
-    _check_s(s)
+    check_s(s)
     if s == 0.0:
         return 1.0
     u = 2.0 * math.sqrt(2.0 * s)

@@ -35,8 +35,13 @@ class MomentSeries:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if self.n_max < 0:
-            raise DomainError(f"n_max must be >= 0, got {self.n_max}")
+        check_n_max(self.n_max)
+
+
+def check_n_max(n_max: int):
+    """Moment series start at order 0; DomainError for n_max < 0."""
+    if n_max < 0:
+        raise DomainError(f"n_max must be >= 0, got {n_max}")
 
 
 def _finite_series(p: QsdParams, n_max: int, method: str, values) -> MomentSeries:

@@ -123,29 +123,36 @@ def simulate(config: SimConfig) -> EmpiricalQsd:
     snap_every = max(1, int(round(SNAPSHOT_DT / dt)))
 
     rng = np.random.default_rng(config.seed)
-    try:
-        r = np.full(config.paths, float(config.r0))
-    except MemoryError as exc:
-        raise ConfigError(f"{config.paths} paths do not fit in memory: {exc}") from exc
     sqdt = math.sqrt(dt)
-
     times, alive = [0.0], [config.paths]
     snapshots = {}
-    for k in range(1, n_steps + 1):
-        r += dt + r * (sqdt * rng.standard_normal(r.size))
-        np.clip(r, 0.0, None, out=r)
-        r = r[r < A]
-        t = k * dt
-        if k % record_every == 0 or k == n_steps:
-            times.append(t)
-            alive.append(r.size)
-        if k % snap_every == 0 or k == n_steps:
-            if t >= burn_in - 1e-9:
-                snapshots[round(t, 10)] = r.copy()
-        if r.size == 0:
-            raise AllAbsorbedError(
-                f"all {config.paths} paths absorbed by t={t:.3f} < horizon={horizon}"
-            )
+    try:
+        # the path state and its normals buffer; each step draws into the
+        # buffer and forms r += dt + r * (sqdt * z) in place, in that order
+        r = np.full(config.paths, float(config.r0))
+        normals = np.empty(config.paths)
+        for k in range(1, n_steps + 1):
+            z = normals[:r.size]
+            rng.standard_normal(out=z)
+            z *= sqdt
+            z *= r
+            z += dt
+            r += z
+            np.clip(r, 0.0, None, out=r)
+            r = r[r < A]
+            t = k * dt
+            if k % record_every == 0 or k == n_steps:
+                times.append(t)
+                alive.append(r.size)
+            if k % snap_every == 0 or k == n_steps:
+                if t >= burn_in - 1e-9:
+                    snapshots[round(t, 10)] = r.copy()
+            if r.size == 0:
+                raise AllAbsorbedError(
+                    f"all {config.paths} paths absorbed by t={t:.3f} < horizon={horizon}"
+                )
+    except MemoryError as exc:
+        raise ConfigError(f"{config.paths} paths do not fit in memory: {exc}") from exc
 
     times = np.asarray(times)
     alive = np.asarray(alive, dtype=float)

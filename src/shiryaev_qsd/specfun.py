@@ -26,7 +26,9 @@ most 40) it sums ~100 terms only to raise NoConvergence.  One hook at
 ``hypsum`` raises that NoConvergence at once when the terms' log2 sizes
 stay 8 bits above mpmath's stop threshold up to its term limit; mpmath's
 own callers then run their own fallbacks.  The attempt could only have
-raised, so the skip changes no bit.
+raised, so the skip changes no bit.  K of imaginary order asks the same
+question first, and where besselk's 2F0 is doomed takes mpmath's 0F1
+pair instead of the 1F1 fallback (``_besselk_imaginary``).
 
 ``MP`` computes Gamma, 1/Gamma and each hypergeometric series at real z
 at the upper member of its conjugate pair and conjugates it for the
@@ -384,11 +386,41 @@ def _whitw_direct(a: float, b: complex, z: float) -> float:
 _whitw = memoised(_whitw_direct, lambda *args: ("whitw", *args))
 
 
+def _besselk_imaginary(nu, x: float):
+    """K of imaginary order ``nu`` (an mpc) at x > 0, at MP's precision.
+
+    At mag(x) >= 1 mpmath's besselk first sums the asymptotic
+    2F0(nu + 1/2, 1/2 - nu; -1/(2x)) at MP's precision plus its wrapper's
+    and hypercomb's 10 guard bits each and mag(x), to as many terms.
+    Where that attempt is doomed, its fallback sums 1F1(nu + 1/2; 2nu + 1;
+    2x), whose terms peak near the 2x-th.  There K is taken by mpmath's
+    other representation, its mag(x) < 1 branch: the two conjugate terms
+    (x/2)^-+nu Gamma(+-nu) 0F1(; 1 -+ nu; x^2/4)/2, whose series peaks
+    near the (x/2)-th term, with hypercomb raising the precision through
+    their cancellation.  Under MP's conjugate-pair rule that is one 0F1
+    and one Gamma, which depends on the order only.  x^2/4 is rounded as
+    besseli rounds it, so a level's I and K panels share the 0F1 at
+    common nodes."""
+    M = MP.mag(x)
+    prec = MP.prec + 20 + M
+    if M < 1 or not _doomed_2f0(nu + 0.5, 0.5 - nu, -0.5 / x, prec, prec):
+        return MP.besselk(nu, x)
+
+    def h(n):
+        w = MP.fmul(x, 0.5, exact=True)
+        r = MP.fmul(w, w, prec=MP.prec + M)
+        return (([x, 2], [-n, n - 1], [n], [], [], [1 - n], r),
+                ([x, 2], [n, -n - 1], [-n], [], [], [1 + n], r))
+
+    with memo():
+        return MP.hypercomb(h, [nu])
+
+
 def _bessel_complex(kind: str, order: OrderParam, z: float):
     if not z > 0:
         raise EvaluationDomainError(f"modified Bessel functions need z > 0, got {z}")
-    fn = MP.besseli if kind == "i" else MP.besselk
     b = _canonical_order(order)
+    fn = MP.besseli if kind == "i" else _besselk_imaginary if b.imag else MP.besselk
     with _mpmath_evaluation(f"Bessel {kind.upper()} (order, z)", b, z):
         return complex(fn(MP.mpc(b), z))
 
@@ -481,7 +513,7 @@ def _weber_integrand_imag(kind: str, level: float, nu_mag: float):
     """
     nu = MP.mpc(0.0, nu_mag)
     shift = math.pi * nu_mag / 2.0 if kind == "K" else -math.pi * nu_mag / 2.0
-    fn = MP.besseli if kind == "I" else MP.besselk
+    fn = MP.besseli if kind == "I" else _besselk_imaginary
     what = f"Weber {kind} integrand (order, level, x)"
 
     def f(x):

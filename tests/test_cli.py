@@ -13,7 +13,7 @@ import sys
 
 import pytest
 
-from shiryaev_qsd import laplace
+from shiryaev_qsd import eigen, laplace
 from shiryaev_qsd.cli import (TARGETS, _params, build_parser, fmt, laplace_rows,
                               parse_grid, run)
 from shiryaev_qsd.errors import QsdError
@@ -39,6 +39,16 @@ class TestHelpers:
         for bad in ("1:2", "2:1:5", "a:b:c", "0:1:0"):
             with pytest.raises(QsdError):
                 parse_grid(bad)
+
+
+# bad arguments of the level's commands, each refused before its eigen solve
+REFUSED_UNSOLVED = {
+    ("laplace", "--A", "5", "--s", "-1"),
+    ("laplace", "--A", "5", "--s", "inf"),
+    ("pdf", "--A", "5", "--grid", "0:inf:3"),
+    ("cdf", "--A", "5", "--grid", "nope"),
+    ("moments", "--A", "5", "--n-max", "-1"),
+}
 
 
 class TestExitCodes:
@@ -99,6 +109,8 @@ class TestExitCodes:
         (("simulate", "--A", "2e4", "--horizon", "1"), "DomainError"),
         (("simulate", "--A", "1e-3", "--horizon", "1"), "DomainError"),
         (("laplace", "--A", "5", "--s", "inf"), "DomainError"),
+        (("laplace", "--A", "5", "--s", "-1"), "DomainError"),
+        (("cdf", "--A", "5", "--grid", "nope"), "QsdError"),
         (("laplace", "--A", "5", "--s", "1e308", "--method", "moments"),
          "NonConvergenceError"),
         (("pdf", "--A", "5", "--grid", "0:inf:3"), "QsdError"),
@@ -133,6 +145,7 @@ class TestExitCodes:
             "eigen-level-below-range", "cdf-level-below-range",
             "simulate-infinite-level", "simulate-level-above-range",
             "simulate-level-below-range", "laplace-infinite-s",
+            "laplace-negative-s", "cdf-malformed-grid",
             "laplace-moments-overflowing-s", "pdf-grid-to-infinity",
             "eigen-grid-to-infinity", "laplace-bessel-overflowing-s",
             "laplace-bessel-overflowing-argument", "laplace-bessel-cancelling-s",
@@ -144,6 +157,9 @@ class TestExitCodes:
             "simulate-path-steps-above-cap", "verify-zero-steps",
             "simulate-short-fit-window"])
     def test_bad_input_is_a_clean_failure(self, capsys, whitw_calls, argv, error):
+        before_the_solve = argv[0] in ("simulate", "verify") or argv in REFUSED_UNSOLVED
+        if before_the_solve:
+            eigen.principal_lambda.cache_clear()
         code, out, err = run_cli(capsys, *argv)
         assert code == 1
         assert out == ""
@@ -152,8 +168,8 @@ class TestExitCodes:
             # the refusal names the s it was given, not an overflowed argument
             message = json.loads(err)["message"]
             assert f"s={float(argv[4])}," in message and "inf" not in message
-        if argv[0] in ("simulate", "verify"):
-            # a bad configuration is refused before the eigen solve
+        if before_the_solve:
+            # a bad configuration or argument is refused before the eigen solve
             assert whitw_calls == []
 
     def test_unwritable_output_is_a_clean_failure(self, capsys, tmp_path):

@@ -8,6 +8,7 @@ the acceptance suite; these tests use smaller ensembles to stay fast.
 import importlib
 import math
 import pkgutil
+import types
 
 import numpy as np
 import pytest
@@ -147,6 +148,19 @@ class TestAbsorption:
             raise MemoryError("stubbed allocation")
 
         monkeypatch.setattr(np, "full", refuse)
+        with pytest.raises(ConfigError, match="20000 paths do not fit in memory"):
+            simulate(_small())
+
+    @pytest.mark.parametrize("stub", ["normals buffer", "draw"])
+    def test_unallocatable_step_is_a_config_error(self, monkeypatch, stub):
+        def refuse(*args, **kwargs):
+            raise MemoryError("stubbed allocation")
+
+        if stub == "normals buffer":
+            monkeypatch.setattr(np, "empty", refuse)
+        else:
+            monkeypatch.setattr(np.random, "default_rng",
+                                lambda seed: types.SimpleNamespace(standard_normal=refuse))
         with pytest.raises(ConfigError, match="20000 paths do not fit in memory"):
             simulate(_small())
 

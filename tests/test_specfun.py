@@ -295,10 +295,13 @@ class TestMpmathFailures:
         assert isinstance(info.value.__cause__, NoConvergence)
 
     def test_imaginary_order_weber_integrand(self, monkeypatch):
-        monkeypatch.setattr(specfun.MP, "besselk",
+        # the panel's first nodes, near x = 2, take the 0F1 pair through
+        # hypercomb: the 2F0 of besselk is doomed there
+        monkeypatch.setattr(specfun.MP, "hypercomb",
                             self._raise(ValueError("hypercomb")))
-        with pytest.raises(NonConvergenceError, match="Weber K integrand"):
+        with pytest.raises(NonConvergenceError, match="Weber K integrand") as info:
             weber_incomplete("K", 2.0, 2.0, OrderParam.imaginary(0.5))
+        assert isinstance(info.value.__cause__, ValueError)
 
 
 def _log_uniform(lo, hi):
@@ -596,6 +599,62 @@ class TestConjugatePairs:
         # per pass one 1F1 and the two 1/Gamma values 1/Gamma(a), 1/Gamma(b)
         assert len(hyper_calls) == len(passes)
         assert len(complex_args) == 2 * len(passes)
+
+
+def _besselk_2f0_converges(y, x):
+    """Whether mpmath's own besselk(i y, x) at WORK_DPS sums its
+    asymptotic 2F0 without raising (MP's hypsum hook off)."""
+    MP, raised = specfun.MP, []
+
+    def recording(p, q, *args, **kwargs):
+        try:
+            return specfun.MPMATH_HYPSUM(MP, p, q, *args, **kwargs)
+        except NoConvergence:
+            raised.append((p, q))
+            raise
+
+    with pytest.MonkeyPatch.context() as patch, MP.workdps(specfun.WORK_DPS):
+        patch.setattr(MP, "hypsum", recording)
+        MP.besselk(MP.mpc(0, y), x)
+    # the 2F0 is besselk's first sum; every later one is its fallback's
+    return (2, 0) not in raised
+
+
+class TestImaginaryOrderK:
+    """K of imaginary order takes mpmath's 0F1 pair where the asymptotic
+    2F0 of besselk is doomed, and besselk elsewhere; every float value
+    stays besselk's."""
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(fn=st.sampled_from(["bessel_k", "Weber K integrand"]),
+           y=_log_uniform(10 ** -3.5, 215.0),
+           x=st.floats(1.0, 160.0))
+    def test_float_values_are_bitwise_besselks(self, fn, y, x):
+        ours = IMAGINARY_ORDER[fn](y, x)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(specfun, "_besselk_imaginary", specfun.MP.besselk)
+            theirs = IMAGINARY_ORDER[fn](y, x)
+        assert ours.hex() == theirs.hex()
+
+    def test_the_k_panel_calls_besselk_only_where_its_2f0_converges(self, monkeypatch):
+        xi = eigen.principal_lambda(5.0).xi
+        nodes, calls = [], []
+        integrand, besselk = specfun._weber_integrand_imag, specfun.MP.besselk
+
+        def recording(kind, level, nu_mag):
+            f, unscale = integrand(kind, level, nu_mag)
+            return (lambda x: nodes.append(x) or f(x)), unscale
+
+        def counting(n, x, **kwargs):
+            calls.append(x)
+            return besselk(n, x, **kwargs)
+
+        monkeypatch.setattr(specfun, "_weber_integrand_imag", recording)
+        monkeypatch.setattr(specfun.MP, "besselk", counting)
+        weber_incomplete("K", 2.83, 5.0, xi)
+        monkeypatch.undo()
+        assert calls and len(calls) < len(nodes)
+        assert all(_besselk_2f0_converges(xi.magnitude, x) for x in calls)
 
 
 def _kampe_brute(a1, a2, b1, b2, u, v, n=200):
