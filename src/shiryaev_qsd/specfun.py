@@ -30,6 +30,15 @@ raised, so the skip changes no bit.  K of imaginary order asks the same
 question first, and where besselk's 2F0 is doomed takes mpmath's 0F1
 pair instead of the 1F1 fallback (``_besselk_imaginary``).
 
+An imaginary-order Weber integrand node whose float bound proves that
+mpmath's value rounds to +0.0 returns 0.0 without calling mpmath.  The
+bounds are |K_{i nu}(x)| <= sqrt(pi/(2x)) e^-x (DLMF 10.32.9) and
+|I_{i nu}(x)| <= e^x sqrt(sinh(pi nu)/(pi nu)) (DLMF 10.25.2, 5.4.3),
+times the Gaussian and the scale shift.  The cut is 2^-1100 (its log is
+WEBER_NODE_CUT), 25 bits under the 2^-1075 point where a float rounds to
+zero, so rounding mpmath's 86 bits to 53 and then to the subnormal grid
+still gives zero (``_weber_integrand_imag``).
+
 ``MP`` computes Gamma, 1/Gamma and each hypergeometric series at real z
 at the upper member of its conjugate pair and conjugates it for the
 other (see ``_MemoContext``).  Real order is untouched; at imaginary
@@ -74,6 +83,10 @@ MAX_SERIES_DPS = 350
 # absolute and relative tolerance of each incomplete Weber panel
 WEBER_TOL = 1e-11
 
+# log of the bound below which an imaginary-order Weber integrand node is
+# 0.0 without mpmath: 25 bits below 2^-1075, under which a float is zero
+WEBER_NODE_CUT = -1100.0 * math.log(2.0)
+
 
 # the open memo() block's values, keyed by call; None outside any block
 _MEMO = contextvars.ContextVar("memo", default=None)
@@ -112,14 +125,24 @@ def _doomed_2f0(a, b, x, prec, maxterms) -> bool:
     raises after term maxterms + 1.  The log2 of the term ratios is
     summed in float, and "doomed" needs every term up to maxterms + 1
     at least 8 bits above the stop; a zero (terminating) or non-finite
-    ratio leaves the last log non-finite and answers False."""
+    ratio leaves the last log non-finite and answers False.  The answer
+    depends on a, b and x only through their complex floats, so the open
+    memo() block keeps it under those, prec and maxterms."""
+    return _doomed_2f0_floats(*(complex(MP.convert(v)) for v in (a, b, x)), prec, maxterms)
+
+
+def _doomed_2f0_direct(a: complex, b: complex, x: complex, prec, maxterms) -> bool:
     import numpy as np
 
-    a, b, x = (complex(MP.convert(v)) for v in (a, b, x))
     j = np.arange(maxterms + 1.0)
     with np.errstate(all="ignore"):
         log_terms = np.cumsum(np.log2(np.abs(a + j) * np.abs(b + j) * (abs(x) / (j + 1))))
     return bool(np.isfinite(log_terms[-1]) and log_terms.min() >= 8 - (prec + 25))
+
+
+# _doomed_2f0_direct is looked up at call time, so a test can count it
+_doomed_2f0_floats = memoised(lambda *args: _doomed_2f0_direct(*args),
+                              lambda *args: ("doomed_2f0", *args))
 
 
 # the keywords under which a 2F0 sum is still predicted: the asymptotic
@@ -400,11 +423,10 @@ def _besselk_imaginary(nu, x: float):
     their cancellation.  Under MP's conjugate-pair rule that is one 0F1
     and one Gamma, which depends on the order only.  x^2/4 is rounded as
     besseli rounds it, so a level's I and K panels share the 0F1 at
-    common nodes."""
+    common nodes.  Both branches run in one memo() block, so besselk's
+    hypsum hook finds the doomed-2F0 answer asked here."""
     M = MP.mag(x)
     prec = MP.prec + 20 + M
-    if M < 1 or not _doomed_2f0(nu + 0.5, 0.5 - nu, -0.5 / x, prec, prec):
-        return MP.besselk(nu, x)
 
     def h(n):
         w = MP.fmul(x, 0.5, exact=True)
@@ -413,6 +435,8 @@ def _besselk_imaginary(nu, x: float):
                 ([x, 2], [n, -n - 1], [-n], [], [], [1 + n], r))
 
     with memo():
+        if M < 1 or not _doomed_2f0(nu + 0.5, 0.5 - nu, -0.5 / x, prec, prec):
+            return MP.besselk(nu, x)
         return MP.hypercomb(h, [nu])
 
 
@@ -510,21 +534,51 @@ def _weber_integrand_imag(kind: str, level: float, nu_mag: float):
     tolerance that it is never refined (the oscillatory mean is smaller
     still).  Scaling by e^{+-pi nu/2} makes the integrand O(1) and turns
     the absolute tolerance into an effectively relative one.
+
+    A node whose value provably rounds to +0.0 returns 0.0 without
+    mpmath.  With y = pi nu:
+    - |K_{i nu}(x)| <= K_0(x) <= sqrt(pi/(2x)) e^-x, from K_{i nu}(x) =
+      int_0^inf e^{-x cosh t} cos(nu t) dt (DLMF 10.32.9) and
+      cosh t - 1 >= t^2/2;
+    - |I_{i nu}(x)| <= I_0(x) sqrt(sinh(y)/y) <= e^x sqrt(sinh(y)/y),
+      since the series (DLMF 10.25.2) has |Gamma(k + 1 + i nu)| >=
+      k! |Gamma(1 + i nu)| and |Gamma(1 + i nu)|^2 = y/sinh(y)
+      (DLMF 5.4.3).
+    Where the log of that bound times e^{shift - level x^2/8}/x^2 is
+    below WEBER_NODE_CUT, mpmath's value (86 bits, rounded to 53, then
+    to the subnormal grid) is a zero: the cut is 25 bits below 2^-1075.
+    The zero's sign is +.  K_{i nu}(x) > 0 for x > nu: there
+    x^2 C'' + x C' = (x^2 - nu^2) C makes every extremum a minimum of
+    |C|, and K -> 0+.  Re I_{i nu}(x) > 0 for x >= 1 with
+    e^{2x - 1/2} > sqrt(pi/2) sinh(y): DLMF 10.32.4 gives
+    Re I >= I_0(x) - sinh(y) K_0(x)/pi, and I_0(x) >= e^{x - 1/2}/(pi sqrt x).
     """
     nu = MP.mpc(0.0, nu_mag)
     shift = math.pi * nu_mag / 2.0 if kind == "K" else -math.pi * nu_mag / 2.0
     fn = MP.besseli if kind == "I" else _besselk_imaginary
     what = f"Weber {kind} integrand (order, level, x)"
+    # the log bound is a + b x - c ln x - level x^2/8, the value's sign
+    # is + from x > positive_from
+    y = math.pi * nu_mag
+    log_sinh = y + math.log(-math.expm1(-2.0 * y) / 2.0)
+    if kind == "K":
+        a, b, c = 0.5 * math.log(math.pi / 2.0) + shift, -1.0, 2.5
+        positive_from = nu_mag
+    else:
+        a, b, c = 0.5 * (log_sinh - math.log(y)) + shift, 1.0, 2.0
+        positive_from = max(1.0, (0.5 + 0.5 * math.log(math.pi / 2.0) + log_sinh) / 2.0)
 
     def f(x):
+        if (x > positive_from
+                and a + b * x - c * math.log(x) - level * x * x / 8.0 < WEBER_NODE_CUT):
+            return 0.0
         # the Gaussian damping and the scale shift are applied before
         # leaving mpmath so no intermediate overflows float
         with _mpmath_evaluation(what, 1j * nu_mag, level, x):
-            c = fn(nu, x) * MP.exp(shift - level * x * x / 8.0) / (x * x)
-            c = complex(c)
+            value = complex(fn(nu, x) * MP.exp(shift - level * x * x / 8.0) / (x * x))
         # K of imaginary order is real; for I the real part is the even
         # real solution used throughout
-        return c.real
+        return value.real
 
     return f, math.exp(-shift)
 

@@ -30,3 +30,19 @@ def whitw_calls(monkeypatch):
 
     monkeypatch.setattr(specfun.MP, "whitw", counting)
     return calls
+
+
+@pytest.fixture
+def bessel_calls(monkeypatch):
+    """("I" or "K", order, x) of every MP.besseli and imaginary-order K
+    (specfun._besselk_imaginary) value computed; patched before an
+    integrand is built, so its nodes are counted too."""
+    calls = []
+    for kind, owner, name in (("I", specfun.MP, "besseli"),
+                              ("K", specfun, "_besselk_imaginary")):
+        def counting(n, x, _kind=kind, _plain=getattr(owner, name), **kwargs):
+            calls.append((_kind, complex(n), x))
+            return _plain(n, x, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+    return calls

@@ -8,10 +8,11 @@ import types
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import NoConvergence
 from scipy.integrate import quad
+from scipy.optimize import brentq
 from scipy.special import ive, kv
 
 from shiryaev_qsd.errors import (
@@ -637,7 +638,9 @@ class TestImaginaryOrderK:
         assert ours.hex() == theirs.hex()
 
     def test_the_k_panel_calls_besselk_only_where_its_2f0_converges(self, monkeypatch):
-        xi = eigen.principal_lambda(5.0).xi
+        # at A = 5 every node where the 2F0 converges is beyond float range
+        # and skipped; at A = 0.7 a few are not
+        xi = eigen.principal_lambda(0.7).xi
         nodes, calls = [], []
         integrand, besselk = specfun._weber_integrand_imag, specfun.MP.besselk
 
@@ -651,10 +654,98 @@ class TestImaginaryOrderK:
 
         monkeypatch.setattr(specfun, "_weber_integrand_imag", recording)
         monkeypatch.setattr(specfun.MP, "besselk", counting)
-        weber_incomplete("K", 2.83, 5.0, xi)
+        weber_incomplete("K", 2.83, 0.7, xi)
         monkeypatch.undo()
         assert calls and len(calls) < len(nodes)
         assert all(_besselk_2f0_converges(xi.magnitude, x) for x in calls)
+
+    def test_a_besselk_value_asks_the_doomed_2f0_question_once(self, monkeypatch):
+        # once in _besselk_imaginary, then a memo hit in besselk's hypsum hook
+        asked, direct = [], specfun._doomed_2f0_direct
+
+        def counting(*args):
+            asked.append(args)
+            return direct(*args)
+
+        monkeypatch.setattr(specfun, "_doomed_2f0_direct", counting)
+        value = bessel_k(OrderParam.imaginary(0.5), 100.0)
+        assert len(asked) == 1 and not direct(*asked[0])
+        assert value == as_real(complex(mp.besselk(0.5j, 100.0)))
+
+
+def _log_node_bound(kind, level, nu, x):
+    """Log of the bound on an imaginary-order Weber integrand value:
+    sqrt(pi/(2x)) e^-x on |K_{i nu}(x)|, e^x sqrt(sinh(pi nu)/(pi nu)) on
+    |I_{i nu}(x)|, times e^{shift - level x^2/8}/x^2."""
+    y = mp.pi * nu
+    if kind == "K":
+        log_bessel, shift = mp.log(mp.pi / (2 * x)) / 2 - x, y / 2
+    else:
+        log_bessel, shift = x + mp.log(mp.sinh(y) / y) / 2, -y / 2
+    return float(log_bessel + shift - level * x * x / 8 - 2 * mp.log(x))
+
+
+def _skip_from(kind, level, nu):
+    """The x beyond which the bound is below the cut and the value's sign
+    is +: K_{i nu}(x) > 0 for x > nu, Re I_{i nu}(x) > 0 for x >= 1 with
+    e^{2x - 1/2} > sqrt(pi/2) sinh(pi nu)."""
+    positive = nu if kind == "K" else max(
+        1.0, float(0.5 + mp.log(mp.sqrt(mp.pi / 2) * mp.sinh(mp.pi * nu))) / 2)
+    below = lambda x: _log_node_bound(kind, level, nu, x) - specfun.WEBER_NODE_CUT
+    return positive if below(positive) < 0 else brentq(below, positive, 1e7)
+
+
+CRITICAL_LEVEL = eigen.critical_A()
+
+
+class TestWeberNodeSkip:
+    """An imaginary-order Weber integrand node whose bound proves that it
+    rounds to +0.0 is answered without mpmath, with mpmath's bits."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(kind=st.sampled_from("IK"), nu=_log_uniform(1e-3, 20.0),
+           level=st.floats(eigen.A_MIN, CRITICAL_LEVEL), t=st.floats(1.0 + 1e-9, 1.2))
+    def test_a_skipped_node_is_bitwise_the_full_evaluation(
+            self, kind, nu, level, t, bessel_calls):
+        x0 = _skip_from(kind, level, nu)
+        f = specfun._weber_integrand_imag(kind, level, nu)[0]
+        bessel_calls.clear()
+        f(x0 / t)
+        assert bessel_calls
+        bessel_calls.clear()
+        skipped = f(t * x0)
+        assert bessel_calls == []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(specfun, "WEBER_NODE_CUT", -math.inf)
+            full = specfun._weber_integrand_imag(kind, level, nu)[0](t * x0)
+        assert bessel_calls
+        assert skipped.hex() == full.hex() == "0x0.0p+0"
+
+    @pytest.mark.parametrize("kind, level, nu", [
+        ("K", 5.0, 1.1), ("I", 5.0, 1.1), ("K", 0.05, 40.0), ("I", 0.05, 40.0),
+        ("K", 1.0, 1e-3), ("I", 1.0, 1e-3)])
+    def test_the_bounds_hold_on_both_sides_of_the_cut(self, kind, level, nu):
+        x0 = _skip_from(kind, level, nu)
+        f, _ = specfun._weber_integrand_imag(kind, level, nu)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(specfun, "WEBER_NODE_CUT", -math.inf)
+            for x in (0.05 * x0, 0.3 * x0, 0.6 * x0, 0.9 * x0, 1.05 * x0, 1.5 * x0):
+                value = f(x)
+                assert abs(value) <= mp.exp(_log_node_bound(kind, level, nu, x))
+                assert value != 0.0 or x > x0
+
+    def test_the_node_that_made_the_bessel_route_refuse_is_zero(self, monkeypatch):
+        # laplace --A 0.005 --s 10 --method bessel used to end here in a
+        # NonConvergenceError from mpmath's 0F1 pair
+        nu = eigen.principal_lambda(0.005).xi.magnitude
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("no Bessel value is needed here")
+
+        monkeypatch.setattr(specfun.MP, "besseli", refuse)
+        monkeypatch.setattr(specfun, "_besselk_imaginary", refuse)
+        assert specfun._weber_integrand_imag("K", 0.005, nu)[0](1880.0).hex() == "0x0.0p+0"
 
 
 def _kampe_brute(a1, a2, b1, b2, u, v, n=200):
