@@ -10,7 +10,9 @@ past burn-in -- the conditional law is time-invariant there, and pooling
 multiplies the effective sample size.
 
 A single seeded generator drives the whole run, so identical
-configurations reproduce bitwise.
+configurations reproduce bitwise.  One helper thread draws from that same
+stream ahead of the Euler step, in fixed chunks taken in order, so the
+normals and every output are those of drawing each step's normals in turn.
 """
 
 from __future__ import annotations
@@ -40,6 +42,8 @@ CDF_GRID = 2000
 # the most Euler path-steps (paths x steps) a configuration may ask for:
 # about 6 h at ~20 ns per path-step
 MAX_PATH_STEPS = 1e12
+# normals per helper-thread fill; the fills run two chunks ahead of the step
+CHUNK = 2**17
 
 
 def default_horizon(A: float) -> float:
@@ -113,8 +117,44 @@ class EmpiricalQsd:
     pooled_samples: np.ndarray = field(repr=False)
 
 
+class _NormalStream:
+    """The generator's standard normals in the order it draws them, filled
+    in chunks of `size` on `pool`'s one thread, two chunks ahead of use."""
+
+    def __init__(self, rng, pool, size: int):
+        import numpy as np
+
+        self._rng, self._pool = rng, pool
+        self._fills = [self._fill(np.empty(size)) for _ in range(3)]
+        self._chunk, self._pos = self._fills.pop(0).result(), 0
+
+    def _fill(self, chunk):
+        return self._pool.submit(self._rng.standard_normal, out=chunk)
+
+    def take(self, out):
+        """The next out.size normals: a view of the current chunk when they
+        lie in it, else copied into `out` across chunks."""
+        n, pos, chunk = out.size, self._pos, self._chunk
+        if pos + n <= chunk.size:
+            self._pos = pos + n
+            return chunk[pos:pos + n]
+        i = 0
+        while i < n:
+            if pos == chunk.size:
+                # every normal of this chunk is used; it refills behind the others
+                self._fills.append(self._fill(chunk))
+                chunk, pos = self._fills.pop(0).result(), 0
+            m = min(n - i, chunk.size - pos)
+            out[i:i + m] = chunk[pos:pos + m]
+            i, pos = i + m, pos + m
+        self._chunk, self._pos = chunk, pos
+        return out
+
+
 def simulate(config: SimConfig) -> EmpiricalQsd:
     """Run the Euler-Maruyama scheme and assemble the empirical QSD."""
+    from concurrent.futures import ThreadPoolExecutor
+
     import numpy as np
 
     A, dt, horizon = config.A, config.dt, config.horizon
@@ -126,14 +166,16 @@ def simulate(config: SimConfig) -> EmpiricalQsd:
     sqdt = math.sqrt(dt)
     times, alive = [0.0], [config.paths]
     snapshots = {}
+    pool = ThreadPoolExecutor(1)
     try:
-        # the path state and its normals buffer; each step draws into the
-        # buffer and forms r += dt + r * (sqdt * z) in place, in that order
+        # the path state and its normals buffer; each step takes its normals
+        # from the stream and forms r += dt + r * (sqdt * z) in place, in
+        # that order
         r = np.full(config.paths, float(config.r0))
         normals = np.empty(config.paths)
+        stream = _NormalStream(rng, pool, min(CHUNK, config.paths * n_steps))
         for k in range(1, n_steps + 1):
-            z = normals[:r.size]
-            rng.standard_normal(out=z)
+            z = stream.take(normals[:r.size])
             z *= sqdt
             z *= r
             z += dt
@@ -153,6 +195,9 @@ def simulate(config: SimConfig) -> EmpiricalQsd:
                 )
     except MemoryError as exc:
         raise ConfigError(f"{config.paths} paths do not fit in memory: {exc}") from exc
+    finally:
+        # a fill still running is waited for, the queued ones are dropped
+        pool.shutdown(cancel_futures=True)
 
     times = np.asarray(times)
     alive = np.asarray(alive, dtype=float)

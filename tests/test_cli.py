@@ -539,7 +539,8 @@ def test_readme_cli_examples_parse():
     assert {argv[0] for argv in argvs} == subcommands()
 
 
-HEAVY_MODULES = ("numpy", "scipy.integrate", "scipy.optimize", "scipy.special")
+HEAVY_MODULES = ("numpy", "scipy.integrate", "scipy.optimize", "scipy.special",
+                 "concurrent.futures")
 
 
 def heavy_modules_loaded(code):
@@ -563,14 +564,15 @@ def cli_code(*argv):
     ("import shiryaev_qsd, shiryaev_qsd.cli; shiryaev_qsd.cli.build_parser()", set()),
     (cli_code("--help"), set()),
     (cli_code("eigen", "--A", "1e-4"), set()),
-    (cli_code("simulate", *SMALL_RUN), {"numpy"}),
+    (cli_code("simulate", *SMALL_RUN), {"numpy", "concurrent.futures"}),
     (cli_code("eigen", "--A", "2"), {"numpy"}),
     (cli_code("critical-a"), {"numpy"}),
     (cli_code("cdf", "--A", "2", "--grid", "0.1:1.9:7"), {"numpy"}),
 ], ids=["setup", "help", "eigen-level-below-range", "simulate", "eigen", "critical-a",
         "cdf"])
 def test_work_that_calls_no_scipy_loads_none(code, allowed):
-    # numpy only where arrays are built: a Whittaker W, a grid, a simulation
+    # numpy only where arrays are built: a Whittaker W, a grid, a simulation;
+    # the simulation's helper thread only where it runs
     assert set(heavy_modules_loaded(code)) <= allowed
 
 

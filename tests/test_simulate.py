@@ -8,6 +8,7 @@ the acceptance suite; these tests use smaller ensembles to stay fast.
 import importlib
 import math
 import pkgutil
+import threading
 import types
 
 import numpy as np
@@ -24,13 +25,69 @@ from shiryaev_qsd.errors import (
     MismatchedAError,
 )
 from shiryaev_qsd.simulate import (
+    BINS,
+    CHUNK,
     RECORD_DT,
+    SNAPSHOT_DT,
     ComparisonReport,
     SimConfig,
     compare_to_analytic,
     default_horizon,
     simulate,
 )
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_the_test():
+    # simulate() joins its helper thread whether it returns or raises
+    before = threading.active_count()
+    yield
+    assert threading.active_count() == before
+
+
+def _serial_simulate(config):
+    """The Euler loop as it was before the chunked stream, the oracle of
+    TestNormalStream: each step draws its normals from the generator in
+    turn, on the calling thread."""
+    A, dt, horizon = config.A, config.dt, config.horizon
+    n_steps, record_every = config.n_steps, config.record_every
+    burn_in = horizon / 2.0
+    snap_every = max(1, int(round(SNAPSHOT_DT / dt)))
+    rng = np.random.default_rng(config.seed)
+    sqdt = math.sqrt(dt)
+    times, alive, snapshots = [0.0], [config.paths], {}
+    r = np.full(config.paths, float(config.r0))
+    normals = np.empty(config.paths)
+    for k in range(1, n_steps + 1):
+        z = normals[:r.size]
+        rng.standard_normal(out=z)
+        z *= sqdt
+        z *= r
+        z += dt
+        r += z
+        np.clip(r, 0.0, None, out=r)
+        r = r[r < A]
+        t = k * dt
+        if k % record_every == 0 or k == n_steps:
+            times.append(t)
+            alive.append(r.size)
+        if k % snap_every == 0 or k == n_steps:
+            if t >= burn_in - 1e-9:
+                snapshots[round(t, 10)] = r.copy()
+        if r.size == 0:
+            raise AllAbsorbedError(
+                f"all {config.paths} paths absorbed by t={t:.3f} < horizon={horizon}")
+    times = np.asarray(times)
+    alive = np.asarray(alive, dtype=float)
+    tail = times >= burn_in
+    t, n = times[tail], alive[tail]
+    coef, cov = np.polyfit(t, np.log(n), 1, w=np.sqrt(n), cov="unscaled")
+    pooled = np.concatenate([snapshots[t] for t in sorted(snapshots)])
+    density, _ = np.histogram(pooled, bins=np.linspace(0.0, A, BINS + 1), density=True)
+    return {"survival": np.column_stack([times, alive / config.paths]),
+            "snapshots": snapshots, "pooled_samples": pooled,
+            "conditional_density": density, "lambda_hat": -coef[0],
+            "lambda_hat_stderr": math.sqrt(abs(cov[0, 0]))}
 
 
 def _small(A=2.0, **kw):
@@ -164,6 +221,23 @@ class TestAbsorption:
         with pytest.raises(ConfigError, match="20000 paths do not fit in memory"):
             simulate(_small())
 
+    def test_unallocatable_helper_fill_is_a_config_error(self, monkeypatch):
+        # the first chunk is filled, the second fill (6 steps in) refuses
+        fills = []
+
+        def standard_normal(out):
+            fills.append(threading.current_thread())
+            if len(fills) == 2:
+                raise MemoryError("stubbed allocation")
+            out[:] = 0.0
+            return out
+
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: types.SimpleNamespace(standard_normal=standard_normal))
+        with pytest.raises(ConfigError, match="20000 paths do not fit in memory"):
+            simulate(_small())
+        assert threading.main_thread() not in fills
+
     def test_survival_curve_is_monotone_and_normalized(self):
         emp = simulate(_small())
         frac = emp.survival[:, 1]
@@ -200,6 +274,37 @@ class TestAbsorption:
         q_early = np.quantile(early, [0.25, 0.5, 0.75])
         q_late = np.quantile(late, [0.25, 0.5, 0.75])
         assert np.allclose(q_early, q_late, atol=0.08)
+
+
+class TestNormalStream:
+    """simulate() takes its normals in chunks filled on a helper thread;
+    every output is bit for bit that of the serial loop."""
+
+    @pytest.mark.parametrize("kw", [
+        dict(A=5.0, paths=7, horizon=2.0, dt=1e-3, seed=3),  # one partial chunk
+        dict(A=2.0, paths=20_000, horizon=4.0, dt=1e-3, seed=3),  # steps straddle chunks
+        dict(A=2.0, paths=CHUNK, horizon=0.5, dt=0.1, seed=3),  # a chunk a step
+        dict(A=2.0, paths=2 * CHUNK + 12_345, horizon=0.5, dt=0.05, seed=4),
+        dict(A=3.0, r0=1.5, paths=5_000, horizon=4.0, dt=1e-3, seed=5),
+    ], ids=["below-one-chunk", "straddling-steps", "one-chunk", "above-one-chunk", "r0"])
+    def test_outputs_are_those_of_the_serial_loop(self, kw):
+        cfg = SimConfig(**kw)
+        got, want = simulate(cfg), _serial_simulate(cfg)
+        for name in ("survival", "pooled_samples", "conditional_density"):
+            assert np.array_equal(getattr(got, name), want[name]), name
+        assert got.snapshots.keys() == want["snapshots"].keys()
+        for t, positions in want["snapshots"].items():
+            assert np.array_equal(got.snapshots[t], positions), t
+        assert got.lambda_hat == want["lambda_hat"]
+        assert got.lambda_hat_stderr == want["lambda_hat_stderr"]
+
+    def test_an_exhausted_ensemble_fails_as_the_serial_loop_does(self):
+        cfg = SimConfig(A=2.0, dt=1e-2, horizon=30.0, paths=500, seed=0)
+        with pytest.raises(AllAbsorbedError) as want:
+            _serial_simulate(cfg)
+        with pytest.raises(AllAbsorbedError) as got:
+            simulate(cfg)
+        assert str(got.value) == str(want.value)
 
 
 class TestComparison:
