@@ -40,9 +40,11 @@ LAMBDA_REL_TOL = 0.05
 # intervals of the analytic cdf table on [0, A]
 CDF_GRID = 2000
 # the most Euler path-steps (paths x steps) a configuration may ask for:
-# about 6 h at ~20 ns per path-step
+# about 4.5 h at the 15-17 ns per path-step measured on a 2-core Xeon
 MAX_PATH_STEPS = 1e12
-# normals per helper-thread fill; the fills run two chunks ahead of the step
+# normals per helper-thread fill; the fills run two chunks ahead of the step.
+# Of 2^16, 2^17 and 2^18, 2^17 ran the benchmark's two Monte Carlo
+# configurations fastest in sum (2-core Xeon); its three buffers take 3 MiB
 CHUNK = 2**17
 
 

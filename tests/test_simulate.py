@@ -8,6 +8,7 @@ the acceptance suite; these tests use smaller ensembles to stay fast.
 import importlib
 import math
 import pkgutil
+import sys
 import threading
 import types
 
@@ -297,6 +298,32 @@ class TestNormalStream:
             assert np.array_equal(got.snapshots[t], positions), t
         assert got.lambda_hat == want["lambda_hat"]
         assert got.lambda_hat_stderr == want["lambda_hat_stderr"]
+
+    def test_concurrent_runs_under_fast_thread_switching(self):
+        # three runs at once, six threads on the host's cores, switching
+        # every microsecond: a chunk refilled before its last normal was
+        # taken, or taken before its fill ended, would move a bit
+        configs = [_small(paths=20_000 + i, horizon=1.0, seed=i) for i in range(3)]
+        want = [_serial_simulate(cfg) for cfg in configs]
+        got = [None] * len(configs)
+
+        def run(i):
+            got[i] = simulate(configs[i])
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(configs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for g, w in zip(got, want):
+            assert np.array_equal(g.survival, w["survival"])
+            assert np.array_equal(g.pooled_samples, w["pooled_samples"])
 
     def test_an_exhausted_ensemble_fails_as_the_serial_loop_does(self):
         cfg = SimConfig(A=2.0, dt=1e-2, horizon=30.0, paths=500, seed=0)
